@@ -22,7 +22,6 @@ package mc
 
 import (
 	"fmt"
-	"math/rand"
 
 	"tmcc/internal/cache"
 	"tmcc/internal/check"
@@ -32,6 +31,7 @@ import (
 	"tmcc/internal/dram"
 	"tmcc/internal/fault"
 	"tmcc/internal/freelist"
+	"tmcc/internal/lagfib"
 	"tmcc/internal/obs"
 	"tmcc/internal/obs/attr"
 	"tmcc/internal/obs/heatmap"
@@ -165,7 +165,6 @@ type MC struct {
 	ml1     *freelist.ML1
 	ml2     *freelist.ML2
 	rec     *recency.List
-	rng     *rand.Rand
 	ml1Size int // pages currently resident in ML1 (for accounting)
 	lowMark int // ML1 free-list grow threshold, scaled to the budget
 	crit    int
@@ -217,6 +216,13 @@ type MC struct {
 	// back through Attr, folds in walk/NoC time, and records the finished
 	// breakdown. nil when attribution is off (one-branch fills).
 	ab *attr.Access
+
+	// rng draws the controller's own trials: Compresso's repack on a
+	// writeback (3%), Recency List sampling (RecencySampleRate) and the
+	// re-candidacy of incompressible pages (1%). Each trial compares one
+	// raw draw with its cut, set once in New.
+	repackCut, sampleCut, recandCut int64
+	rng                             lagfib.Source
 }
 
 // mcObs holds the registered instrument handles. All fields are nil when
@@ -366,10 +372,14 @@ func New(cfg Config) (*MC, error) {
 	m := &MC{
 		cfg:  cfg,
 		dram: dram.New(cfg.Sys.DRAM),
-		rng:  rand.New(rand.NewSource(cfg.Seed + 1000)),
 		heat: cfg.Heat,
 		inj:  cfg.Inject,
+
+		repackCut: lagfib.Below(0.03),
+		sampleCut: lagfib.Below(cfg.Sys.Comp.RecencySampleRate),
+		recandCut: lagfib.Below(0.01),
 	}
+	m.rng.Seed(cfg.Seed + 1000)
 	switch cfg.Kind {
 	case Uncompressed:
 		m.chunkPool = cfg.BudgetPages
@@ -701,7 +711,7 @@ func (m *MC) accessCompresso(now config.Time, st *pageState, ppn uint64, blockOf
 		// repacks the page when its chunks overflow or gain slack. Charge
 		// the occasional background traffic (reads+writes of the moved
 		// blocks).
-		if m.rng.Float64() < 0.03 {
+		if m.rng.Less(m.repackCut) {
 			for i := 0; i < 8; i++ {
 				a := m.dataAddr(st, (blockOff+i)%config.BlocksPage)
 				m.dram.Read(done, a)
@@ -714,11 +724,11 @@ func (m *MC) accessCompresso(now config.Time, st *pageState, ppn uint64, blockOf
 
 func (m *MC) accessTwoLevel(now config.Time, st *pageState, ppn uint64, blockOff int, write bool, cteHit bool, embedded *cte.Entry) Result {
 	// Sample 1% of ML1 accesses into the Recency List (Section IV-B).
-	if !st.inML2 && m.rng.Float64() < m.cfg.Sys.Comp.RecencySampleRate {
+	if !st.inML2 && m.rng.Less(m.sampleCut) {
 		if st.incompressible {
 			// Retired pages never re-candidate: their frame is permanently
 			// pinned uncompressed.
-			if !st.retired && write && m.rng.Float64() < 0.01 {
+			if !st.retired && write && m.rng.Less(m.recandCut) {
 				m.rec.InsertCold(ppn) // re-candidate after writebacks
 				st.incompressible = false
 			}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"tmcc/internal/cache"
 	"tmcc/internal/config"
@@ -169,7 +168,6 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 		tlv:   tlv,
 		hmv:   hmv,
 		l3:    cache.New(sys.Cache.L3SizeMB*config.MiB, sys.Cache.Assoc*2),
-		rng:   rand.New(rand.NewSource(opt.Seed + 77)),
 		cycle: sys.CPU.Cycle(),
 		noc:   sys.DRAM.NoCLatency,
 	}

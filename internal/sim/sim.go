@@ -13,8 +13,6 @@
 package sim
 
 import (
-	"math/rand"
-
 	"tmcc/internal/cache"
 	"tmcc/internal/config"
 	"tmcc/internal/cte"
@@ -209,7 +207,6 @@ type Runner struct {
 	ptbs      []ptbState
 	ptbSpare  ptbState // returned for non-table addresses (defensive)
 	pcfg      ptbcomp.Config
-	rng       *rand.Rand
 
 	// vpnToPPN maps trace virtual pages (offset by vlo) to the physical
 	// page the MC sees — host-physical under virtualization. One bounds

@@ -11,9 +11,8 @@
 package workload
 
 import (
-	"math/rand"
-
 	"tmcc/internal/config"
+	"tmcc/internal/lagfib"
 )
 
 // Access is one memory operation of the trace.
@@ -119,7 +118,6 @@ func SpecFor(name string) (Spec, bool) {
 // Trace is a deterministic per-core access generator for one spec.
 type Trace struct {
 	spec  Spec
-	rng   *rand.Rand
 	vbase uint64
 
 	curPage  uint64 // current page offset within footprint
@@ -130,19 +128,45 @@ type Trace struct {
 	hist     [64]uint64 // recently touched block addresses (reuse pool)
 	histN    int
 	histNext int
+
+	// Bernoulli trials as integer cuts on the raw draws (lagfib.Below for
+	// "Float64() < p", lagfib.Above for the geometric loops' "Float64() >
+	// 1/mean"), and the geometric loops' caps as draw-count limits.
+	hotCut, coldCut, reuseCut, writeCut int64
+	runCut, gapCut                      int64
+	runLimit, gapLimit                  int
+
+	rng lagfib.Source
 }
 
 // NewTrace builds a generator; vbase is the first mapped virtual page
 // number (from the address space), core seeds differ per core.
 func NewTrace(spec Spec, vbase uint64, seed int64) *Trace {
-	t := &Trace{spec: spec, rng: rand.New(rand.NewSource(seed)), vbase: vbase}
+	t := &Trace{
+		spec:     spec,
+		vbase:    vbase,
+		hotCut:   lagfib.Below(spec.HotFrac),
+		coldCut:  lagfib.Below(spec.ColdJump),
+		reuseCut: lagfib.Below(spec.Reuse),
+		writeCut: lagfib.Below(spec.WriteFrac),
+		runCut:   lagfib.Above(1.0 / float64(spec.SeqRun)),
+		// The run length is 1 plus the continuations, stopping once it
+		// exceeds 8*SeqRun; the first draw is taken whatever SeqRun is.
+		runLimit: max(8*spec.SeqRun, 1),
+	}
+	if spec.GapMean > 0 {
+		// The gap counts continuations, stopping once it exceeds 8*GapMean.
+		t.gapCut = lagfib.Above(1.0 / float64(spec.GapMean))
+		t.gapLimit = 8*spec.GapMean + 1
+	}
+	t.rng.Seed(seed)
 	t.jump()
 	return t
 }
 
 func (t *Trace) jump() {
-	switch r := t.rng.Float64(); {
-	case r < t.spec.HotFrac:
+	switch {
+	case t.rng.Less(t.hotCut):
 		// Hot pages come in clusters of adjacent pages (slices of vertex
 		// property arrays, frontier queues): a cluster shares one 8-page
 		// CTE block, which is precisely the spatial locality that makes
@@ -158,7 +182,7 @@ func (t *Trace) jump() {
 			stride = cluster
 		}
 		t.curPage = (c*stride + uint64(t.rng.Intn(cluster))) % t.spec.FootprintPages
-	case t.rng.Float64() < t.spec.ColdJump || t.spec.WarmPages == 0:
+	case t.rng.Less(t.coldCut) || t.spec.WarmPages == 0:
 		// Truly cold: anywhere in the footprint (may hit ML2).
 		t.curPage = uint64(t.rng.Int63n(int64(t.spec.FootprintPages)))
 	default:
@@ -169,13 +193,7 @@ func (t *Trace) jump() {
 	}
 	t.curBlock = t.rng.Intn(64)
 	// Geometric run length with the configured mean.
-	t.run = 1
-	for t.rng.Float64() > 1.0/float64(t.spec.SeqRun) {
-		t.run++
-		if t.run > 8*t.spec.SeqRun {
-			break
-		}
-	}
+	t.run = 1 + t.rng.Count(t.runCut, t.runLimit)
 	t.runLen = t.run
 }
 
@@ -183,11 +201,11 @@ func (t *Trace) jump() {
 func (t *Trace) Next() Access {
 	// Temporal reuse: re-touch a recent block (these land in L1/L2, as the
 	// bulk of real accesses do).
-	if t.histN > 0 && t.rng.Float64() < t.spec.Reuse {
+	if t.histN > 0 && t.rng.Less(t.reuseCut) {
 		vaddr := t.hist[t.rng.Intn(t.histN)]
 		return Access{
 			VAddr: vaddr,
-			Write: t.rng.Float64() < t.spec.WriteFrac,
+			Write: t.rng.Less(t.writeCut),
 			Gap:   t.gap(),
 		}
 	}
@@ -199,7 +217,7 @@ func (t *Trace) Next() Access {
 	}
 	a := Access{
 		VAddr: vaddr,
-		Write: t.rng.Float64() < t.spec.WriteFrac,
+		Write: t.rng.Less(t.writeCut),
 		Gap:   t.gap(),
 		// The first access of a run is the data-dependent jump (the
 		// neighbor/pointer just loaded); streaming within the run is not.
@@ -218,19 +236,10 @@ func (t *Trace) Next() Access {
 	return a
 }
 
+// gap draws the compute gap: geometric around GapMean, none when
+// GapMean <= 0.
 func (t *Trace) gap() int {
-	if t.spec.GapMean <= 0 {
-		return 0
-	}
-	// Geometric around the mean.
-	g := 0
-	for t.rng.Float64() > 1.0/float64(t.spec.GapMean) {
-		g++
-		if g > 8*t.spec.GapMean {
-			break
-		}
-	}
-	return g
+	return t.rng.Count(t.gapCut, t.gapLimit)
 }
 
 // SizeModel assigns every physical page a compressed size under both the

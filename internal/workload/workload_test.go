@@ -160,3 +160,24 @@ func TestMeanML2ChunkFraction(t *testing.T) {
 		t.Errorf("chunk fraction %.3f > 1", f)
 	}
 }
+
+// benchTraceNext times Trace.Next on one benchmark's spec.
+func benchTraceNext(b *testing.B, bench string) {
+	spec, _ := SpecFor(bench)
+	tr := NewTrace(spec, 0, 42)
+	var sink uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += tr.Next().VAddr
+	}
+	benchSink = sink
+}
+
+var benchSink uint64
+
+// BenchmarkTraceNext measures trace generation at the lightest (canneal,
+// GapMean 30) and heaviest (triCount, GapMean 132) compute gaps.
+func BenchmarkTraceNext(b *testing.B) {
+	b.Run("gap30", func(b *testing.B) { benchTraceNext(b, "canneal") })
+	b.Run("gap132", func(b *testing.B) { benchTraceNext(b, "triCount") })
+}
