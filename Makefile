@@ -52,14 +52,15 @@ bench:
 
 # core-bench-smoke exercises the batched simulation core's contracts
 # without timing assertions (CI machines are noisy): the per-design
-# access-path microbenchmark compiles and completes, the measured loop is
+# access-path and cold runner-construction microbenchmarks compile and
+# complete, the measured loop is
 # allocation-free, a mid-run capacity error stops within one batch, and
 # the quick suite renders byte-identically at -j 1 and -j 4 — the same
 # guarantee engine-smoke makes, rechecked here so a core change cannot
 # land with a benchmark-only green. BENCH_core.json records the measured
 # numbers for this machine.
 core-bench-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkAccessPath -benchtime 1x ./internal/sim/
+	$(GO) test -run '^$$' -bench 'BenchmarkAccessPath|BenchmarkNewRunner' -benchtime 1x ./internal/sim/
 	$(GO) test -run 'TestMeasuredLoopAllocationFree|TestCapacityErrorStopsWithinOneBatch' ./internal/sim/
 	$(GO) build -o /tmp/tmccsim ./cmd/tmccsim
 	/tmp/tmccsim -all -quick -format csv -j 1 > /tmp/tmcc_core_j1.csv

@@ -8,6 +8,7 @@
 //	tmccsim -exp fig17
 //	tmccsim -all [-quick] [-seed 42] [-j 4] [-stats]
 //	tmccsim -exp fig18 -metrics out.json -trace out.trace -pprof :6060
+//	tmccsim -all -quick -cpuprofile cpu.out -memprofile mem.out
 //	tmccsim -run canneal -kind tmcc -budget 12000
 //	tmccsim -run canneal -kind tmcc -faults cte=0.05,payload=0.02 -chaos-seed 7 -ras
 //	tmccsim -campaign 25 -seed 42 -campaign-out failures.txt
@@ -29,6 +30,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -58,6 +60,8 @@ func main() {
 		metrics = flag.String("metrics", "", "write an obs registry snapshot (JSON) to this file at exit")
 		trace   = flag.String("trace", "", "write a Chrome trace_event JSON (simulated time) to this file at exit")
 		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
+		cpuProf = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the runs to this file")
+		memProf = flag.String("memprofile", "", "write a runtime/pprof heap profile (allocations since start) to this file after the runs")
 
 		timelineOut    = flag.String("timeline", "", "write the windowed timeline CSV to this file at exit")
 		timelineWindow = flag.Duration("timeline-window", time.Millisecond, "simulated-time window width for -timeline (a wall-clock syntax naming a simulated duration)")
@@ -162,6 +166,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, diagnose(err))
 		failed = true
 	}
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	switch {
 	case *list:
 		fmt.Println(strings.Join(exp.IDs(), "\n"))
@@ -201,6 +210,10 @@ func main() {
 	default:
 		flag.Usage()
 		os.Exit(2)
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	if watchStop != nil {
@@ -270,6 +283,47 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// startProfiles starts a CPU profile into cpuPath and returns the stop
+// function, which ends it and writes the heap profile into memPath. Empty
+// paths skip that profile. The files are opened up front, so a bad path
+// fails before any simulation runs.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu, mem *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	if memPath != "" {
+		if mem, err = os.Create(memPath); err != nil {
+			if cpu != nil {
+				pprof.StopCPUProfile()
+				cpu.Close()
+			}
+			return nil, fmt.Errorf("memprofile: %w", err)
+		}
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if mem != nil {
+			runtime.GC() // settle the heap statistics the profile reports
+			errs = append(errs, pprof.WriteHeapProfile(mem), mem.Close())
+		}
+		if err := errors.Join(errs...); err != nil {
+			return fmt.Errorf("profile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // armFaults parses the -faults flag and arms the engine's fault plan. A

@@ -238,3 +238,39 @@ func TestMetricsAndTraceFiles(t *testing.T) {
 		t.Fatal("trace file holds no events")
 	}
 }
+
+// TestProfileFiles checks -cpuprofile/-memprofile end to end: both
+// runtime/pprof files are written and non-empty around a fig6 run.
+func TestProfileFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpath := filepath.Join(dir, "cpu.out")
+	mpath := filepath.Join(dir, "mem.out")
+	stop, err := startProfiles(cpath, mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runErr := run(io.Discard, "fig6", exp.Config{Seed: 42, Quick: true}, "csv")
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatalf("run(fig6): %v", runErr)
+	}
+	for _, p := range []string{cpath, mpath} {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("%s is empty", filepath.Base(p))
+		}
+	}
+}
+
+// TestProfileBadPath fails before any run when a profile cannot be created.
+func TestProfileBadPath(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "missing", "cpu.out")
+	if _, err := startProfiles(bad, ""); err == nil {
+		t.Fatal("unwritable -cpuprofile path did not error")
+	}
+}

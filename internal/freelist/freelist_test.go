@@ -192,3 +192,70 @@ func TestQuickAllocFree(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNarrowSubChunkRoundTrip fills one super-chunk at the edges of the
+// narrowed SubChunk fields — the default menu's largest reachable class,
+// and a full 256-class menu's class 255 and its 256-slot class 0 (slot
+// 255) — and checks Alloc/Address/Free through them.
+func TestNarrowSubChunkRoundTrip(t *testing.T) {
+	defaults := DefaultClasses()
+	wide := make([]SizeClass, maxClasses)
+	for i := range wide {
+		sub := 16 * (i + 1)
+		wide[i] = SizeClass{SubSize: sub, M: 1, N: ChunkSize / sub}
+	}
+	top, _ := NewML2(defaults, NewML1(nil)).ClassFor(defaults[len(defaults)-1].SubSize)
+	for _, tc := range []struct {
+		classes []SizeClass
+		ci      int
+	}{{defaults, top}, {wide, maxClasses - 1}, {wide, 0}} {
+		cl := tc.classes[tc.ci]
+		m2 := NewML2(tc.classes, NewML1(pool(64)))
+		var subs []SubChunk
+		slots := map[uint8]bool{}
+		for i := 0; i < cl.N; i++ {
+			sc, ok := m2.Alloc(cl.SubSize)
+			if !ok {
+				t.Fatalf("class %d: alloc %d failed", tc.ci, i)
+			}
+			if int(sc.Class) != tc.ci || sc.Super != 0 {
+				t.Fatalf("class %d: got %+v", tc.ci, sc)
+			}
+			slots[sc.Slot] = true
+			off := int(sc.Slot) * cl.SubSize
+			chunk := m2.supers[tc.ci][0].chunks[off/ChunkSize]
+			if got, want := m2.Address(sc), uint64(chunk)*ChunkSize+uint64(off%ChunkSize); got != want {
+				t.Fatalf("class %d slot %d: Address %#x, want %#x", tc.ci, sc.Slot, got, want)
+			}
+			subs = append(subs, sc)
+		}
+		if len(slots) != cl.N || !slots[uint8(cl.N-1)] {
+			t.Fatalf("class %d: %d distinct slots of %d", tc.ci, len(slots), cl.N)
+		}
+		for _, sc := range subs {
+			if err := m2.Free(sc, cl.SubSize); err != nil {
+				t.Fatalf("class %d: Free(%+v): %v", tc.ci, sc, err)
+			}
+		}
+		if m2.HeldChunks != 0 || m2.UsedBytes != 0 {
+			t.Fatalf("class %d: after freeing all, held=%d used=%d", tc.ci, m2.HeldChunks, m2.UsedBytes)
+		}
+		if err := m2.Audit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := NewML2(nil, NewML1(pool(8))).Free(SubChunk{Class: 0, Super: 7}, 256); err == nil {
+		t.Error("Free of a super that was never carved did not error")
+	}
+}
+
+// TestNewML2RejectsUnrepresentableClasses: a class menu whose slots would
+// overflow SubChunk.Slot is refused up front.
+func TestNewML2RejectsUnrepresentableClasses(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a class with more than 256 slots was accepted")
+		}
+	}()
+	NewML2([]SizeClass{{SubSize: 16, M: 2, N: 512}}, NewML1(pool(8)))
+}

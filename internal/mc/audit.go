@@ -55,30 +55,30 @@ func (m *MC) AuditPages() error {
 	retired := 0
 	for ppn := range m.pages {
 		st := &m.pages[ppn]
-		if st.retired {
+		if st.retired() {
 			// A retired page must sit pinned uncompressed on its frame:
 			// never in ML2, never a compression candidate again.
 			retired++
-			if st.inML2 {
+			if st.inML2() {
 				return fmt.Errorf("ppn %#x: retired page stored in ML2", ppn)
 			}
-			if !st.incompressible {
+			if !st.incompressible() {
 				return fmt.Errorf("ppn %#x: retired page still marked compressible", ppn)
 			}
-			if !st.placed {
+			if !st.placed() {
 				return fmt.Errorf("ppn %#x: retired page not placed", ppn)
 			}
 		}
-		if !st.placed {
-			if st.inML2 {
+		if !st.placed() {
+			if st.inML2() {
 				return fmt.Errorf("ppn %#x: in ML2 but never placed", ppn)
 			}
 			continue
 		}
 		e := m.CurrentCTE(uint64(ppn))
-		if st.inML2 {
+		if st.inML2() {
 			inML2++
-			if st.incompressible {
+			if st.incompressible() {
 				return fmt.Errorf("ppn %#x: incompressible page stored in ML2", ppn)
 			}
 			if !e.InML2 {
@@ -86,7 +86,7 @@ func (m *MC) AuditPages() error {
 			}
 			// The CTE must point inside ML2-held DRAM, i.e. not into the
 			// reserved CTE table above the data pool.
-			if addr := m.ml2.Address(st.sub); addr >= m.chunkPool*config.PageSize {
+			if addr := m.ml2.Address(st.sub()); addr >= m.chunkPool*config.PageSize {
 				return fmt.Errorf("ppn %#x: ML2 address %#x beyond data pool %#x",
 					ppn, addr, m.chunkPool*config.PageSize)
 			}

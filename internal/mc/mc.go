@@ -143,16 +143,58 @@ type Stats struct {
 	CTEVictimHits uint64
 }
 
+// pageState is one OS page's placement. The MC keeps one per page of the
+// whole OS pool (4x the budget), so the struct is packed into 16 bytes;
+// each field is as wide as its range needs:
 type pageState struct {
-	chunk          uint32 // ML1 frame when !inML2
-	sub            freelist.SubChunk
-	sum            uint32 // payload checksum while compressed in ML2
-	inML2          bool
-	incompressible bool
-	placed         bool
-	// retired pins the page uncompressed on a frame the RAS scoreboard
-	// permanently withdrew from circulation (implies incompressible).
-	retired bool
+	// chunk is the ML1 frame when !inML2; DRAM frame numbers are uint32
+	// throughout (ML1 free list, CTE DRAMPage).
+	chunk uint32
+	// super, class and slot are the ML2 freelist.SubChunk while inML2,
+	// flattened here at the widths SubChunk documents (uint32 super-chunk
+	// id, uint8 class of 14, uint8 slot of N <= 128).
+	super uint32
+	// sum is the payload checksum while compressed in ML2.
+	sum   uint32
+	class uint8
+	slot  uint8
+	flags pageFlags
+}
+
+// pageFlags are pageState's booleans, one bit each.
+type pageFlags uint8
+
+const (
+	pgInML2 pageFlags = 1 << iota
+	pgIncompressible
+	pgPlaced
+	// pgRetired pins the page uncompressed on a frame the RAS scoreboard
+	// permanently withdrew from circulation (implies pgIncompressible).
+	pgRetired
+)
+
+func (st *pageState) inML2() bool          { return st.flags&pgInML2 != 0 }
+func (st *pageState) incompressible() bool { return st.flags&pgIncompressible != 0 }
+func (st *pageState) placed() bool         { return st.flags&pgPlaced != 0 }
+func (st *pageState) retired() bool        { return st.flags&pgRetired != 0 }
+
+// set turns flag f on or off.
+func (st *pageState) set(f pageFlags, on bool) {
+	if on {
+		st.flags |= f
+	} else {
+		st.flags &^= f
+	}
+}
+
+// sub returns the page's ML2 allocation (meaningful while inML2).
+func (st *pageState) sub() freelist.SubChunk {
+	return freelist.SubChunk{Super: st.super, Class: st.class, Slot: st.slot}
+}
+
+// setSub records the page's ML2 allocation.
+func (st *pageState) setSub(sc freelist.SubChunk) {
+	st.super, st.class, st.slot = sc.Super, sc.Class, sc.Slot
 }
 
 // MC is one memory-side controller instance.
@@ -509,10 +551,10 @@ func (m *MC) UsedPages() uint64 {
 // space ran out (the page lands in ML1 instead).
 func (m *MC) Place(ppn uint64, toML2 bool) bool {
 	st := &m.pages[ppn]
-	if st.placed {
+	if st.placed() {
 		return true
 	}
-	st.placed = true
+	st.set(pgPlaced, true)
 	switch m.cfg.Kind {
 	case Uncompressed, Compresso:
 		// Location is a fixed function of PPN (Compresso keeps pages in
@@ -521,11 +563,11 @@ func (m *MC) Place(ppn uint64, toML2 bool) bool {
 		m.ml1Size++
 		return true
 	}
-	if toML2 && !st.incompressible {
+	if toML2 && !st.incompressible() {
 		size, _ := m.cfg.Sizes.PageSizes(ppn)
 		if sub, ok := m.ml2.Alloc(size); ok && size < config.PageSize {
-			st.inML2 = true
-			st.sub = sub
+			st.set(pgInML2, true)
+			st.setSub(sub)
 			st.sum = pageChecksum(ppn, size)
 			m.ob.ml2CompBytes.Observe(int64(size))
 			m.heat.CompressedSize(ppn, int64(size))
@@ -535,12 +577,12 @@ func (m *MC) Place(ppn uint64, toML2 bool) bool {
 			return true
 		}
 		if size >= config.PageSize {
-			st.incompressible = true
+			st.set(pgIncompressible, true)
 		}
 	}
 	c, _, ok := m.popFrame(0)
 	if !ok {
-		st.placed = false
+		st.set(pgPlaced, false)
 		m.failCapacity(ppn)
 		return false
 	}
@@ -560,7 +602,7 @@ func (m *MC) Place(ppn uint64, toML2 bool) bool {
 // latency breakdowns. Returns the (possibly stalled) current time.
 func (m *MC) lazyPlace(now config.Time, ppn uint64) config.Time {
 	st := &m.pages[ppn]
-	st.placed = true
+	st.set(pgPlaced, true)
 	switch m.cfg.Kind {
 	case Uncompressed, Compresso:
 		st.chunk = uint32(ppn % m.chunkPool)
@@ -569,7 +611,7 @@ func (m *MC) lazyPlace(now config.Time, ppn uint64) config.Time {
 	}
 	c, ready, ok := m.popFrame(now)
 	if !ok {
-		st.placed = false
+		st.set(pgPlaced, false)
 		m.failCapacity(ppn)
 		return now
 	}
@@ -596,7 +638,7 @@ func (m *MC) TouchPage(ppn uint64) {
 		return
 	}
 	st := &m.pages[ppn]
-	if st.placed && !st.inML2 && !st.incompressible {
+	if st.placed() && !st.inML2() && !st.incompressible() {
 		m.rec.Touch(ppn)
 	}
 }
@@ -604,9 +646,9 @@ func (m *MC) TouchPage(ppn uint64) {
 // CurrentCTE snapshots the page's translation for embedding into PTBs.
 func (m *MC) CurrentCTE(ppn uint64) cte.Entry {
 	st := &m.pages[ppn]
-	e := cte.Entry{InML2: st.inML2, IsIncompressible: st.incompressible}
-	if st.inML2 {
-		e.DRAMPage = uint32(m.ml2.Address(st.sub) / config.PageSize)
+	e := cte.Entry{InML2: st.inML2(), IsIncompressible: st.incompressible()}
+	if st.inML2() {
+		e.DRAMPage = uint32(m.ml2.Address(st.sub()) / config.PageSize)
 	} else {
 		e.DRAMPage = st.chunk
 	}
@@ -637,7 +679,7 @@ func (m *MC) Access(now config.Time, ppn uint64, blockOff int, write bool, embed
 		m.ab.Reset()
 	}
 	st := &m.pages[ppn]
-	if !st.placed {
+	if !st.placed() {
 		now = m.lazyPlace(now, ppn)
 	}
 	if m.ras != nil {
@@ -724,20 +766,20 @@ func (m *MC) accessCompresso(now config.Time, st *pageState, ppn uint64, blockOf
 
 func (m *MC) accessTwoLevel(now config.Time, st *pageState, ppn uint64, blockOff int, write bool, cteHit bool, embedded *cte.Entry) Result {
 	// Sample 1% of ML1 accesses into the Recency List (Section IV-B).
-	if !st.inML2 && m.rng.Less(m.sampleCut) {
-		if st.incompressible {
+	if !st.inML2() && m.rng.Less(m.sampleCut) {
+		if st.incompressible() {
 			// Retired pages never re-candidate: their frame is permanently
 			// pinned uncompressed.
-			if !st.retired && write && m.rng.Less(m.recandCut) {
+			if !st.retired() && write && m.rng.Less(m.recandCut) {
 				m.rec.InsertCold(ppn) // re-candidate after writebacks
-				st.incompressible = false
+				st.set(pgIncompressible, false)
 			}
 		} else {
 			m.rec.Touch(ppn)
 		}
 	}
 
-	if st.inML2 {
+	if st.inML2() {
 		done := m.serveML2(now, st, ppn, blockOff, cteHit)
 		m.maybeEvict(done)
 		return Result{Done: done, Tag: TagML2}
@@ -854,7 +896,7 @@ func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, 
 	}
 
 	size, _ := m.cfg.Sizes.PageSizes(ppn)
-	m.svBlocks = m.ml2.AppendBlockAddresses(m.svBlocks[:0], st.sub, size)
+	m.svBlocks = m.ml2.AppendBlockAddresses(m.svBlocks[:0], st.sub(), size)
 	blocks := m.svBlocks
 	// Issue the compressed-page reads while holding at most MaxQueueSlots
 	// MC queue slots at a time (Section VI): read i may issue once read
@@ -922,17 +964,17 @@ func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, 
 		// No room: serve from ML2 without migrating.
 		return respond
 	}
-	if err := m.ml2.Free(st.sub, size); err != nil {
+	if err := m.ml2.Free(st.sub(), size); err != nil {
 		// The sub-block allocation record disagrees with the page state:
 		// ML2 capacity accounting is corrupt and every later placement
 		// decision would be wrong, so this is a simulator bug, not a
 		// recoverable condition.
 		panic(fmt.Sprintf("mc: freeing ML2 sub-blocks for ppn %#x: %v", ppn, err))
 	}
-	st.inML2 = false
+	st.set(pgInML2, false)
 	st.chunk = chunk
 	if quarantine {
-		st.incompressible = true
+		st.set(pgIncompressible, true)
 		if m.ras != nil {
 			m.maybeRetire(ppn, st)
 		}
@@ -1019,10 +1061,10 @@ func (m *MC) evictOne(now config.Time) (uint64, config.Time, bool) {
 			return 0, now, false
 		}
 		st := &m.pages[ppn]
-		if st.inML2 || !st.placed {
+		if st.inML2() || !st.placed() {
 			continue
 		}
-		if st.incompressible {
+		if st.incompressible() {
 			// Quarantined after a payload fault (or re-candidated and then
 			// flagged): keep in ML1, off the Recency List.
 			m.Stats.IncompressSkips++
@@ -1033,7 +1075,7 @@ func (m *MC) evictOne(now config.Time) (uint64, config.Time, bool) {
 		if size >= config.PageSize {
 			// Incompressible: retain in ML1, drop from the Recency List so
 			// we do not repeatedly recompress it (Section IV-B).
-			st.incompressible = true
+			st.set(pgIncompressible, true)
 			m.Stats.IncompressSkips++
 			m.ob.incompressSkips.Inc()
 			continue
@@ -1067,8 +1109,8 @@ func (m *MC) evictOne(now config.Time) (uint64, config.Time, bool) {
 		} else {
 			m.ml1.Push(st.chunk)
 		}
-		st.inML2 = true
-		st.sub = sub
+		st.set(pgInML2, true)
+		st.setSub(sub)
 		st.sum = pageChecksum(ppn, size)
 		m.ml1Size--
 		m.Stats.ML1ToML2++
@@ -1147,13 +1189,13 @@ func (m *MC) CTECache() *ctecache.Cache { return m.cte }
 func (m *MC) SampleResidency(f func(ppn uint64, tier heatmap.Tier)) {
 	for ppn := range m.pages {
 		st := &m.pages[ppn]
-		if !st.placed {
+		if !st.placed() {
 			continue
 		}
 		switch {
-		case st.retired:
+		case st.retired():
 			f(uint64(ppn), heatmap.TierRetired)
-		case st.inML2:
+		case st.inML2():
 			f(uint64(ppn), heatmap.TierML2)
 		case uint64(st.chunk) >= m.cfg.BudgetPages:
 			f(uint64(ppn), heatmap.TierOverflow)
@@ -1164,9 +1206,9 @@ func (m *MC) SampleResidency(f func(ppn uint64, tier heatmap.Tier)) {
 }
 
 // InML2 reports whether ppn currently lives compressed.
-func (m *MC) InML2(ppn uint64) bool { return m.pages[ppn].inML2 }
+func (m *MC) InML2(ppn uint64) bool { return m.pages[ppn].inML2() }
 
 // Placed reports whether ppn has a resident location.
 func (m *MC) Placed(ppn uint64) bool {
-	return ppn < uint64(len(m.pages)) && m.pages[ppn].placed
+	return ppn < uint64(len(m.pages)) && m.pages[ppn].placed()
 }

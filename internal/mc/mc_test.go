@@ -2,9 +2,11 @@ package mc
 
 import (
 	"testing"
+	"unsafe"
 
 	"tmcc/internal/config"
 	"tmcc/internal/cte"
+	"tmcc/internal/freelist"
 	"tmcc/internal/memdeflate"
 	"tmcc/internal/workload"
 )
@@ -198,5 +200,25 @@ func TestCurrentCTETracksMigration(t *testing.T) {
 	}
 	if before.Pack() == after.Pack() {
 		t.Error("CTE unchanged across migration")
+	}
+}
+
+// TestPageStateIs16Bytes pins the packed per-page layout: the MC holds
+// one pageState per OS page (4x the budget), so its size is the
+// controller's dominant construction cost.
+func TestPageStateIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(pageState{}); got != 16 {
+		t.Fatalf("pageState is %d bytes, want 16", got)
+	}
+	var st pageState
+	st.setSub(freelist.SubChunk{Super: 1<<32 - 1, Class: 13, Slot: 127})
+	st.set(pgInML2, true)
+	st.set(pgRetired, true)
+	st.set(pgRetired, false)
+	if sc := st.sub(); sc.Super != 1<<32-1 || sc.Class != 13 || sc.Slot != 127 {
+		t.Fatalf("sub round trip = %+v", sc)
+	}
+	if !st.inML2() || st.retired() || st.placed() || st.incompressible() {
+		t.Fatalf("flags = %08b", st.flags)
 	}
 }

@@ -90,11 +90,11 @@ func (m *MC) rasStrike(ppn uint64) {
 // is stamped on the heatmap as a churn event conserved against the
 // lifetime ras.retired counter.
 func (m *MC) maybeRetire(ppn uint64, st *pageState) {
-	if st.retired || st.inML2 || !st.placed || !m.ras.ShouldRetire(ppn) {
+	if st.retired() || st.inML2() || !st.placed() || !m.ras.ShouldRetire(ppn) {
 		return
 	}
-	st.retired = true
-	st.incompressible = true
+	st.set(pgRetired, true)
+	st.set(pgIncompressible, true)
 	if m.ml1 != nil && uint64(st.chunk) < m.cfg.BudgetPages {
 		m.ml1.Retire(st.chunk)
 	}
@@ -117,7 +117,7 @@ func (m *MC) scrubPatrol(quota int) {
 		ppn := m.ras.NextScrub(len(m.pages))
 		m.ob.rasScrubPages.Inc()
 		st := &m.pages[ppn]
-		if !st.placed || !st.inML2 {
+		if !st.placed() || !st.inML2() {
 			continue
 		}
 		m.rasBacklog += m.ras.ScrubPagePS()
@@ -154,12 +154,12 @@ func (m *MC) scrubQuarantine(ppn uint64, st *pageState, size int) {
 		st.sum = pageChecksum(ppn, size)
 		return
 	}
-	if err := m.ml2.Free(st.sub, size); err != nil {
+	if err := m.ml2.Free(st.sub(), size); err != nil {
 		panic(fmt.Sprintf("mc: freeing ML2 sub-blocks for scrubbed ppn %#x: %v", ppn, err))
 	}
-	st.inML2 = false
+	st.set(pgInML2, false)
 	st.chunk = chunk
-	st.incompressible = true
+	st.set(pgIncompressible, true)
 	m.ml1Size++
 	m.rec.Touch(ppn)
 	m.Stats.ML2ToML1++

@@ -80,7 +80,7 @@ func TestScrubPatrolDetectsQuarantinesAndRetires(t *testing.T) {
 		t.Fatalf("RASRetired = %d, want 1", got)
 	}
 	st := &m.pages[40]
-	if !st.retired || !st.incompressible {
+	if !st.retired() || !st.incompressible() {
 		t.Fatalf("page state after retirement: %+v", st)
 	}
 	if c := inj.Counters(); c.Quarantines != 1 {

@@ -36,7 +36,8 @@ func DefaultOSConfig(seed int64) OSConfig {
 }
 
 // AddressSpace is a built program image: the table plus the mapping
-// parameters the simulator needs.
+// parameters the simulator needs. It is immutable once built, which is
+// what lets SharedAddressSpace hand one instance to many runs.
 type AddressSpace struct {
 	Table     *Table
 	DataPages uint64 // mapped 4KB data pages
@@ -46,7 +47,14 @@ type AddressSpace struct {
 	// OSPages is the size of the OS physical page pool the allocator drew
 	// from (sets the PPN width; Section V-A5 truncation depends on it).
 	OSPages uint64
+	// VPNToPPN is the dense translation over VPNRange: entry vpn-VBase
+	// holds the data PPN the table maps vpn to (NoPPN for a hole). It is
+	// filled while mapping, so readers never descend the radix.
+	VPNToPPN []uint64
 }
+
+// NoPPN marks an unmapped entry of AddressSpace.VPNToPPN.
+const NoPPN = ^uint64(0)
 
 // regionFlagChoices are the status-bit combinations regions draw from;
 // index 0 (normal RW data) dominates, like real heaps.
@@ -110,10 +118,9 @@ func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 		}
 	}
 
-	t := New(allocPPN, cfg.HugePages)
-	as := &AddressSpace{Table: t, DataPages: dataPages, VBase: 0x10000, OSPages: osPages}
-
-	// Carve the footprint into regions with uniform flags.
+	// Carve the footprint into regions with uniform flags. The shares are
+	// fixed by the sizes alone; the flags are drawn after the root table
+	// page, which is the allocator's first draw.
 	type region struct {
 		pages uint64
 		flags uint64
@@ -125,20 +132,41 @@ func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 		if i == len(regions)-1 {
 			share = remaining
 		}
-		regions[i] = region{pages: share, flags: regionFlagChoices[rng.Intn(len(regionFlagChoices))]}
+		regions[i].pages = share
 		remaining -= share
+	}
+	as := &AddressSpace{DataPages: dataPages, VBase: 0x10000, OSPages: osPages}
+	mapped := dataPages // pages the regions map, from VBase up
+	if cfg.HugePages {
+		as.VBase = as.VBase / EntriesPer * EntriesPer
+		mapped = 0
+		for _, r := range regions {
+			mapped += (r.pages + EntriesPer - 1) / EntriesPer * EntriesPer
+		}
+	}
+	// The directory covers the pool and the slab holds exactly the table
+	// pages the mapped range needs, so neither grows during the build.
+	t := newTable(allocPPN, cfg.HugePages, osPages, tablePagesFor(as.VBase, as.VBase+mapped, cfg.HugePages))
+	as.Table = t
+	for i := range regions {
+		regions[i].flags = regionFlagChoices[rng.Intn(len(regionFlagChoices))]
+	}
+	lo, hi := as.VPNRange()
+	as.VPNToPPN = make([]uint64, hi-lo)
+	for i := range as.VPNToPPN {
+		as.VPNToPPN[i] = NoPPN
 	}
 
 	vpn := as.VBase
-	if cfg.HugePages {
-		vpn = vpn / EntriesPer * EntriesPer
-		as.VBase = vpn
-	}
 	for _, r := range regions {
 		if cfg.HugePages {
 			// Round the region to whole 2MB frames.
-			for mapped := uint64(0); mapped < r.pages; mapped += EntriesPer {
-				t.Map(vpn, allocHugePPN(), r.flags)
+			for done := uint64(0); done < r.pages; done += EntriesPer {
+				ppn := allocHugePPN()
+				t.Map(vpn, ppn, r.flags)
+				for k := uint64(0); k < EntriesPer && vpn+k < hi; k++ {
+					as.VPNToPPN[vpn+k-lo] = ppn + k
+				}
 				vpn += EntriesPer
 			}
 			continue
@@ -148,7 +176,9 @@ func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 			if rng.Float64() < cfg.L1FlagNoise {
 				flags = oddFlagChoices[rng.Intn(len(oddFlagChoices))]
 			}
-			t.Map(vpn, allocPPN(), flags)
+			ppn := allocPPN()
+			t.Map(vpn, ppn, flags)
+			as.VPNToPPN[vpn-lo] = ppn
 			vpn++
 		}
 	}
@@ -162,26 +192,46 @@ func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 	return as
 }
 
+// tablePagesFor counts the table pages a 4-level table needs to map the
+// contiguous range [lo, hi): the root plus, on each level from the leaf up,
+// one page per distinct span that level's pages cover.
+func tablePagesFor(lo, hi uint64, hugePages bool) int {
+	n := 1
+	if hi <= lo {
+		return n
+	}
+	leaf := 1
+	if hugePages {
+		leaf = 2
+	}
+	for level := leaf; level < Levels; level++ {
+		shift := uint(level) * levelBits
+		n += int((hi-1)>>shift - lo>>shift + 1)
+	}
+	return n
+}
+
 // perturbLevel flips the status bits of a fraction of PTEs at the given
 // table level (2 = entries pointing at L1 table pages).
 func (t *Table) perturbLevel(level int, rate float64, rng *rand.Rand) {
-	var rec func(n *node, l int)
-	rec = func(n *node, l int) {
+	var rec func(ref pageRef, l int)
+	rec = func(ref pageRef, l int) {
 		if l == level {
-			for i := range n.ptes {
-				if n.ptes[i]&FlagPresent != 0 && rng.Float64() < rate {
-					n.ptes[i] |= FlagPCD // an unusual cacheability attribute
+			ptes := &t.ptes[ref.page]
+			for i := range ptes {
+				if ptes[i]&FlagPresent != 0 && rng.Float64() < rate {
+					ptes[i] |= FlagPCD // an unusual cacheability attribute
 				}
 			}
 			return
 		}
-		for _, c := range n.children {
-			if c != nil {
+		for _, c := range t.kids[ref.kids] {
+			if c.page != 0 {
 				rec(c, l-1)
 			}
 		}
 	}
-	rec(t.root, Levels)
+	rec(pageRef{}, Levels)
 }
 
 // VPNRange returns the mapped virtual page number range [VBase, VBase+n).

@@ -7,10 +7,7 @@
 // simulated cache hierarchy and memory controller like any other access.
 package pagetable
 
-import (
-	"fmt"
-	"sort"
-)
+import "slices"
 
 // Page-table geometry (x86-64, 4KB pages).
 const (
@@ -57,55 +54,84 @@ func MakePTE(ppn uint64, flags uint64) uint64 {
 	return flags&^ppnMask | ppn<<ppnShift&ppnMask
 }
 
-// node is one 4KB table page.
-type node struct {
-	ppn      uint64
-	idx      int32 // dense creation-order index, for flat per-PTB state
-	ptes     [EntriesPer]uint64
-	children [EntriesPer]*node // nil at level 1
+// pageRef names a table page: its slab index and, for an interior page,
+// the index of its child array in Table.kids (noKids on the leaf level,
+// whose pages point at data and carry no child array). Child arrays hold
+// refs, so a walk descends with one dependent load per level.
+type pageRef struct {
+	page int32
+	kids int32
 }
 
-// Table is a 4-level page table for one address space.
+// noKids marks a leaf-level page's ref.
+const noKids = -1
+
+// Table is a 4-level page table for one address space. It is built once
+// and only read afterwards, so one table may serve many concurrent runs.
+// Table pages are numbered by creation order (their slab index, which is
+// also their dense PTB-slot page); the root is page 0 with child array 0,
+// the zero pageRef. The slabs hold no pointers, so the garbage collector
+// never scans them.
 type Table struct {
-	root     *node
-	alloc    func() uint64 // PPN allocator for table pages
-	tablePgs int
-	hugePgs  bool // map at 2MB granularity (Section VIII)
-	// byPPN is a PPN-indexed directory of table pages (nil entries are
-	// data pages). Table PPNs are drawn from a bounded OS pool, so a
-	// grow-on-demand slice replaces the old map: directory probes on the
-	// walk/repair hot path become one bounds check and one load.
-	byPPN []*node
-	// ppns lists the table pages' PPNs in creation order (the source for
-	// TablePagePPNs, without map iteration).
+	// ptes holds each table page's entries. Its 4KB stride keeps every
+	// 64B PTB on one host cache line.
+	ptes [][EntriesPer]uint64
+	// ppns holds each table page's PPN.
 	ppns []uint64
+	// kids holds the interior pages' children; the zero ref (the root,
+	// which is nobody's child) means "no child".
+	kids    [][EntriesPer]pageRef
+	alloc   func() uint64 // PPN allocator for table pages
+	hugePgs bool          // map at 2MB granularity (Section VIII)
+	// byPPN maps a PPN to its table page's slab index plus one; 0 marks
+	// data pages. Table PPNs come from a bounded OS pool, so a dense
+	// directory makes probes on the walk/repair hot path one bounds check
+	// and one load.
+	byPPN []int32
 }
 
 // New creates an empty table; alloc hands out PPNs for the table pages
 // themselves (they live in physical memory too). hugePages selects 2MB
 // mappings, which terminate the walk at L2.
 func New(alloc func() uint64, hugePages bool) *Table {
-	t := &Table{alloc: alloc, hugePgs: hugePages}
-	t.root = &node{ppn: alloc()}
-	t.addNode(t.root)
+	return newTable(alloc, hugePages, 0, 1)
+}
+
+// newTable is New with the directory pre-sized to a poolPages PPN space
+// and the slabs to pageHint table pages, so a build whose sizes are known
+// allocates each once. The directory still grows for PPNs past the pool.
+func newTable(alloc func() uint64, hugePages bool, poolPages uint64, pageHint int) *Table {
+	t := &Table{
+		alloc:   alloc,
+		hugePgs: hugePages,
+		ptes:    make([][EntriesPer]uint64, 0, pageHint),
+		ppns:    make([]uint64, 0, pageHint),
+		byPPN:   make([]int32, poolPages),
+	}
+	t.addPage(alloc(), Levels)
 	return t
 }
 
-// addNode registers a freshly allocated table page in the dense directory.
-func (t *Table) addNode(n *node) {
-	n.idx = int32(len(t.ppns))
-	t.ppns = append(t.ppns, n.ppn)
-	if n.ppn >= uint64(len(t.byPPN)) {
-		grown := make([]*node, n.ppn+n.ppn/2+64)
+// addPage registers a freshly allocated table page at the given level.
+func (t *Table) addPage(ppn uint64, level int) pageRef {
+	ref := pageRef{page: int32(len(t.ppns)), kids: noKids}
+	if level > t.leafLevel() {
+		ref.kids = int32(len(t.kids))
+		t.kids = append(t.kids, [EntriesPer]pageRef{})
+	}
+	t.ptes = append(t.ptes, [EntriesPer]uint64{})
+	t.ppns = append(t.ppns, ppn)
+	if ppn >= uint64(len(t.byPPN)) {
+		grown := make([]int32, ppn+ppn/2+64)
 		copy(grown, t.byPPN)
 		t.byPPN = grown
 	}
-	t.byPPN[n.ppn] = n
-	t.tablePgs++
+	t.byPPN[ppn] = ref.page + 1
+	return ref
 }
 
 // TablePages reports how many 4KB pages the table itself occupies.
-func (t *Table) TablePages() int { return t.tablePgs }
+func (t *Table) TablePages() int { return len(t.ppns) }
 
 // HugePages reports the mapping granularity.
 func (t *Table) HugePages() bool { return t.hugePgs }
@@ -130,24 +156,24 @@ func (t *Table) Map(vpn, ppn uint64, flags uint64) {
 	if t.hugePgs && (vpn%EntriesPer != 0 || ppn%EntriesPer != 0) {
 		panic("pagetable: huge-page mapping not 2MB aligned")
 	}
-	n := t.root
+	var ref pageRef // the root
 	for level := Levels; level > leaf; level-- {
 		i := index(vpn, level)
-		if n.children[i] == nil {
-			child := &node{ppn: t.alloc()}
-			n.children[i] = child
-			n.ptes[i] = MakePTE(child.ppn, FlagPresent|FlagWrite|FlagUser|FlagAccessed)
-			t.addNode(child)
+		c := t.kids[ref.kids][i]
+		if c.page == 0 {
+			c = t.addPage(t.alloc(), level-1)
+			t.kids[ref.kids][i] = c
+			t.ptes[ref.page][i] = MakePTE(t.ppns[c.page], FlagPresent|FlagWrite|FlagUser|FlagAccessed)
 		}
-		n = n.children[i]
+		ref = c
 	}
 	i := index(vpn, leaf)
 	if t.hugePgs {
 		flags |= FlagPS
 		ppn = ppn / EntriesPer // store the 2MB frame number
-		n.ptes[i] = MakePTE(ppn<<levelBits, flags)
+		t.ptes[ref.page][i] = MakePTE(ppn<<levelBits, flags)
 	} else {
-		n.ptes[i] = MakePTE(ppn, flags)
+		t.ptes[ref.page][i] = MakePTE(ppn, flags)
 	}
 }
 
@@ -174,10 +200,12 @@ func (t *Table) Walk(vpn uint64) (steps []Step, ppn uint64, ok bool) {
 func (t *Table) WalkAppend(buf []Step, vpn uint64) (steps []Step, ppn uint64, ok bool) {
 	steps = buf[:0]
 	leaf := t.leafLevel()
-	n := t.root
+	ptes, kids := t.ptes, t.kids
+	var ref pageRef // the root
+	base := t.ppns[0]
 	for level := Levels; level >= leaf; level-- {
 		i := index(vpn, level)
-		pte := n.ptes[i]
+		pte := ptes[ref.page][i]
 		if pte&FlagPresent == 0 {
 			return nil, 0, false
 		}
@@ -187,14 +215,15 @@ func (t *Table) WalkAppend(buf []Step, vpn uint64) (steps []Step, ppn uint64, ok
 		}
 		steps = append(steps, Step{
 			Level:   level,
-			PTBAddr: n.ppn<<PageShift + uint64(i/PTEsPerPTB*PTBSize),
+			PTBAddr: base<<PageShift + uint64(i/PTEsPerPTB*PTBSize),
 			PTE:     pte,
 			NextPPN: next,
 		})
 		if level == leaf {
 			return steps, next, true
 		}
-		n = n.children[i]
+		// An interior PTE names its child table page's PPN.
+		ref, base = kids[ref.kids][i], next
 	}
 	return nil, 0, false
 }
@@ -211,16 +240,16 @@ type PTB struct {
 // present entry, level by level (leaf level first, as Figure 6 reports L1
 // and L2 separately).
 func (t *Table) PTBs(fn func(PTB)) {
-	var rec func(n *node, level int)
+	var rec func(ref pageRef, level int)
 	leaf := t.leafLevel()
-	rec = func(n *node, level int) {
+	rec = func(ref pageRef, level int) {
 		for b := 0; b < PTBsPerPage; b++ {
 			var ptb PTB
 			ptb.Level = level
-			ptb.Addr = n.ppn<<PageShift + uint64(b*PTBSize)
+			ptb.Addr = t.ppns[ref.page]<<PageShift + uint64(b*PTBSize)
 			any := false
 			for j := 0; j < PTEsPerPTB; j++ {
-				pte := n.ptes[b*PTEsPerPTB+j]
+				pte := t.ptes[ref.page][b*PTEsPerPTB+j]
 				ptb.PTEs[j] = pte
 				if pte&FlagPresent != 0 {
 					any = true
@@ -231,23 +260,22 @@ func (t *Table) PTBs(fn func(PTB)) {
 			}
 		}
 		if level > leaf {
-			for _, c := range n.children {
-				if c != nil {
+			for _, c := range t.kids[ref.kids] {
+				if c.page != 0 {
 					rec(c, level-1)
 				}
 			}
 		}
 	}
-	rec(t.root, Levels)
+	rec(pageRef{}, Levels)
 }
 
 // TablePagePPNs lists the physical page numbers of every page-table page
 // (the table occupies physical memory too; the MC must place and translate
 // those pages like any others).
 func (t *Table) TablePagePPNs() []uint64 {
-	out := make([]uint64, len(t.ppns))
-	copy(out, t.ppns)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(t.ppns)
+	slices.Sort(out)
 	return out
 }
 
@@ -255,24 +283,34 @@ func (t *Table) TablePagePPNs() []uint64 {
 // contributes PTBsPerPage consecutive slots in creation order. The table
 // is static once built, so per-PTB simulator state can live in a flat
 // slice indexed by PTBSlot instead of a map keyed by address.
-func (t *Table) PTBSlots() int { return t.tablePgs * PTBsPerPage }
+func (t *Table) PTBSlots() int { return len(t.ppns) * PTBsPerPage }
+
+// pageAt returns the slab index of the table page holding the physical
+// byte address addr; ok=false when addr does not fall in a table page.
+func (t *Table) pageAt(addr uint64) (int, bool) {
+	ppn := addr >> PageShift
+	if ppn >= uint64(len(t.byPPN)) || t.byPPN[ppn] == 0 {
+		return 0, false
+	}
+	return int(t.byPPN[ppn] - 1), true
+}
 
 // PTBSlot maps the physical byte address of a PTB (as produced in walk
 // steps) to its dense slot index; ok=false when addr does not fall in a
 // table page.
 func (t *Table) PTBSlot(addr uint64) (int, bool) {
-	ppn := addr >> PageShift
-	if ppn >= uint64(len(t.byPPN)) || t.byPPN[ppn] == nil {
+	pg, ok := t.pageAt(addr)
+	if !ok {
 		return 0, false
 	}
-	return int(t.byPPN[ppn].idx)*PTBsPerPage + int(addr%PageSizeBytes)/PTBSize, true
+	return pg*PTBsPerPage + int(addr%PageSizeBytes)/PTBSize, true
 }
 
 // PTBAddrBySlot is PTBSlot's inverse: the physical byte address of the
-// PTB at the given dense slot. ok=false for out-of-range slots. Table
-// pages are listed in creation order, matching the idx each node carries,
-// so the mapping is one bounds check and one load — cheap enough for the
-// RAS layer's bounded background patrol over all PTB slots.
+// PTB at the given dense slot. ok=false for out-of-range slots. The slab
+// lists table pages in creation order, so the mapping is one bounds check
+// and one load — cheap enough for the RAS layer's bounded background
+// patrol over all PTB slots.
 func (t *Table) PTBAddrBySlot(slot int) (uint64, bool) {
 	pg := slot / PTBsPerPage
 	if slot < 0 || pg >= len(t.ppns) {
@@ -285,45 +323,10 @@ func (t *Table) PTBAddrBySlot(slot int) (uint64, bool) {
 // byte address (as produced in walk steps); ok=false if the address does
 // not fall in a table page.
 func (t *Table) PTBByAddr(addr uint64) ([PTEsPerPTB]uint64, bool) {
-	ppn := addr >> PageShift
-	if ppn >= uint64(len(t.byPPN)) || t.byPPN[ppn] == nil {
+	pg, ok := t.pageAt(addr)
+	if !ok {
 		return [PTEsPerPTB]uint64{}, false
 	}
-	n := t.byPPN[ppn]
 	b := int(addr%PageSizeBytes) / PTBSize
-	var out [PTEsPerPTB]uint64
-	copy(out[:], n.ptes[b*PTEsPerPTB:(b+1)*PTEsPerPTB])
-	return out, true
-}
-
-// Lookup returns the data PPN for vpn without recording walk steps. It
-// descends the radix directly — no step slice, no allocation — because
-// the simulator translates on every access.
-func (t *Table) Lookup(vpn uint64) (uint64, bool) {
-	leaf := t.leafLevel()
-	n := t.root
-	for level := Levels; ; level-- {
-		i := index(vpn, level)
-		pte := n.ptes[i]
-		if pte&FlagPresent == 0 {
-			return 0, false
-		}
-		if level == leaf {
-			next := PPN(pte)
-			if t.hugePgs {
-				next = next + vpn%EntriesPer
-			}
-			return next, true
-		}
-		n = n.children[i]
-	}
-}
-
-// MustLookup panics on unmapped vpn; for tests and trace plumbing.
-func (t *Table) MustLookup(vpn uint64) uint64 {
-	ppn, ok := t.Lookup(vpn)
-	if !ok {
-		panic(fmt.Sprintf("pagetable: vpn %#x unmapped", vpn))
-	}
-	return ppn
+	return [PTEsPerPTB]uint64(t.ptes[pg][b*PTEsPerPTB:]), true
 }

@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -150,7 +151,7 @@ func TestBuildAddressSpace(t *testing.T) {
 	// Every mapped page walks; PPNs stay within the OS pool and are unique.
 	seen := map[uint64]bool{}
 	for vpn := lo; vpn < hi; vpn += 37 {
-		ppn, ok := as.Table.Lookup(vpn)
+		_, ppn, ok := as.Table.Walk(vpn)
 		if !ok {
 			t.Fatalf("vpn %#x unmapped", vpn)
 		}
@@ -169,7 +170,7 @@ func TestBuildAddressSpaceHuge(t *testing.T) {
 	cfg.HugePages = true
 	as := BuildAddressSpace(4096, 1<<20, cfg)
 	lo, _ := as.VPNRange()
-	if ppn, ok := as.Table.Lookup(lo + 3); !ok || ppn%512 != 3 {
+	if _, ppn, ok := as.Table.Walk(lo + 3); !ok || ppn%512 != 3 {
 		t.Fatalf("huge lookup got %#x ok=%v", ppn, ok)
 	}
 }
@@ -207,4 +208,93 @@ func TestFig6StatusHomogeneity(t *testing.T) {
 	}
 	t.Logf("L1 %.4f (paper 0.9994), L2 %.4f (paper 0.993), PTBs l1=%d l2=%d",
 		l1, l2, total[1], total[2])
+}
+
+// TestPTBSlotRoundTripAtPoolTop pins the dense directory's edges: every
+// table page's PTBs round-trip through PTBAddrBySlot, PTBSlot and
+// PTBByAddr — including a table page on the pool's top PPN — while one
+// past the pool, data pages and out-of-range slots report ok=false.
+func TestPTBSlotRoundTripAtPoolTop(t *testing.T) {
+	const pool = 1 << 12
+	next := uint64(pool)
+	alloc := func() uint64 { next--; return next } // the root takes pool-1
+	pt := newTable(alloc, false, pool, 1)
+	for vpn := uint64(0); vpn < 3*EntriesPer; vpn += 5 {
+		pt.Map(vpn<<levelBits, vpn, FlagPresent|FlagWrite) // spread over L1 pages
+	}
+	if got := pt.TablePagePPNs(); got[len(got)-1] != pool-1 {
+		t.Fatalf("top table PPN = %#x, want the pool's top %#x", got[len(got)-1], pool-1)
+	}
+	want := map[uint64][PTEsPerPTB]uint64{}
+	pt.PTBs(func(b PTB) { want[b.Addr] = b.PTEs })
+	for slot := 0; slot < pt.PTBSlots(); slot++ {
+		addr, ok := pt.PTBAddrBySlot(slot)
+		if !ok {
+			t.Fatalf("slot %d has no address", slot)
+		}
+		if back, ok := pt.PTBSlot(addr); !ok || back != slot {
+			t.Fatalf("slot %d -> addr %#x -> slot %d ok=%v", slot, addr, back, ok)
+		}
+		ptes, ok := pt.PTBByAddr(addr)
+		if !ok {
+			t.Fatalf("PTBByAddr(%#x) not ok", addr)
+		}
+		if w, listed := want[addr]; listed && ptes != w {
+			t.Fatalf("PTBByAddr(%#x) = %v, PTBs saw %v", addr, ptes, w)
+		} else if !listed && ptes != ([PTEsPerPTB]uint64{}) {
+			t.Fatalf("PTBByAddr(%#x) has entries PTBs skipped", addr)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("PTBs visited nothing")
+	}
+	top := uint64(pool-1)<<PageShift + (PTBsPerPage-1)*PTBSize
+	if _, ok := pt.PTBSlot(top); !ok {
+		t.Error("last PTB of the top table page not found")
+	}
+	for _, addr := range []uint64{pool << PageShift, 5 << PageShift, 1<<40 | 7} {
+		if _, ok := pt.PTBSlot(addr); ok {
+			t.Errorf("PTBSlot(%#x) ok for a non-table address", addr)
+		}
+		if _, ok := pt.PTBByAddr(addr); ok {
+			t.Errorf("PTBByAddr(%#x) ok for a non-table address", addr)
+		}
+	}
+	for _, slot := range []int{-1, pt.PTBSlots()} {
+		if _, ok := pt.PTBAddrBySlot(slot); ok {
+			t.Errorf("PTBAddrBySlot(%d) ok out of range", slot)
+		}
+	}
+}
+
+// TestDenseVPNToPPNMatchesWalk checks that the dense table BuildAddressSpace
+// fills while mapping agrees with the radix for every page of the range,
+// and that the slab and directory were sized exactly once.
+func TestDenseVPNToPPNMatchesWalk(t *testing.T) {
+	for _, huge := range []bool{false, true} {
+		cfg := DefaultOSConfig(3)
+		cfg.HugePages = huge
+		as := BuildAddressSpace(30001, 1<<17, cfg)
+		lo, hi := as.VPNRange()
+		if uint64(len(as.VPNToPPN)) != hi-lo {
+			t.Fatalf("huge=%v: dense table has %d entries for range %d", huge, len(as.VPNToPPN), hi-lo)
+		}
+		for i, ppn := range as.VPNToPPN {
+			steps, want, ok := as.Table.Walk(lo + uint64(i))
+			if !ok || ppn != want {
+				t.Fatalf("huge=%v: vpn %#x dense %#x, walk %#x ok=%v", huge, lo+uint64(i), ppn, want, ok)
+			}
+			// Each step's PTB address must hold the PTE the walker read.
+			for _, st := range steps {
+				ptes, ok := as.Table.PTBByAddr(st.PTBAddr)
+				if !ok || !slices.Contains(ptes[:], st.PTE) {
+					t.Fatalf("huge=%v: level %d PTB %#x does not hold PTE %#x", huge, st.Level, st.PTBAddr, st.PTE)
+				}
+			}
+		}
+		if tb := as.Table; cap(tb.ptes) != len(tb.ptes) || len(tb.byPPN) != int(as.OSPages) {
+			t.Errorf("huge=%v: slab %d/%d pages, directory %d for pool %d",
+				huge, len(tb.ptes), cap(tb.ptes), len(tb.byPPN), as.OSPages)
+		}
+	}
 }

@@ -47,6 +47,33 @@ func BenchmarkAccessPath(b *testing.B) {
 	}
 }
 
+// BenchmarkNewRunner times a cold runner construction — address space,
+// MC tables, placement and warmup — for one large and one small benchmark
+// per design. The address-space memo is bypassed so every iteration
+// builds its table; the size model is built before the timer starts and
+// stays memoized, as in a suite.
+func BenchmarkNewRunner(b *testing.B) {
+	for _, bench := range []string{"pageRank", "canneal"} {
+		for _, kind := range benchKinds {
+			b.Run(bench+"/"+kind.String(), func(b *testing.B) {
+				withFreshSpaces(func() {
+					opt := Options{Benchmark: bench, Kind: kind, Seed: 42}
+					if _, err := NewRunner(opt); err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := NewRunner(opt); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			})
+		}
+	}
+}
+
 // TestMeasuredLoopAllocationFree pins the arena invariant: after warmup the
 // measured loop allocates nothing — batches, walk buffers, prefetch
 // candidates, eviction scratch, and recycled ML2 supers all come from

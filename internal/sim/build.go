@@ -39,6 +39,11 @@ func CompressoBudgetPages(footprint uint64, sizes *workload.SizeModel) uint64 {
 	return uint64(usage) + 1
 }
 
+// newAddressSpace builds (or fetches) a run's address space. Runs share
+// immutable spaces through the process-level memo; BenchmarkNewRunner
+// swaps in pagetable.BuildAddressSpace to time a cold build.
+var newAddressSpace = pagetable.SharedAddressSpace
+
 // NewRunner builds a complete simulated system for the options.
 func NewRunner(opt Options) (*Runner, error) { return NewRunnerInjected(opt, nil, nil) }
 
@@ -108,7 +113,7 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	osCfg.HugePages = opt.HugePages
 	var as *pagetable.AddressSpace
 	if !opt.Virtualized {
-		as = pagetable.BuildAddressSpace(spec.FootprintPages, osPages, osCfg)
+		as = newAddressSpace(spec.FootprintPages, osPages, osCfg)
 	}
 	if opt.HugePages {
 		// Section VIII: a huge-page PTB covers 16MB; its CTEs cannot fit,
@@ -181,23 +186,20 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	if opt.Virtualized {
 		buildVirt(r, osPages, opt.Seed) // fills vpnToPPN/gpaToHost
 	} else {
-		// Dense vpn -> ppn table over the mapped range: the page table is
+		// The address space's dense vpn -> ppn table: the page table is
 		// static after build, so the per-access radix descent collapses to
 		// one load (unmappedPPN marks holes).
-		lo, hi := as.VPNRange()
-		r.vlo = lo
-		r.vpnToPPN = make([]uint64, hi-lo)
-		for i := range r.vpnToPPN {
-			r.vpnToPPN[i] = unmappedPPN
-			if ppn, ok := as.Table.Lookup(lo + uint64(i)); ok {
-				r.vpnToPPN[i] = ppn
-			}
-		}
+		r.vlo = as.VBase
+		r.vpnToPPN = as.VPNToPPN
 	}
-	// Per-PTB hardware state, flat over the (now final) table's PTB slots,
-	// plus the reusable hot-loop scratch (see Runner field docs).
-	r.ptbs = make([]ptbState, r.as.Table.PTBSlots())
-	if rcfg.ScrubPages > 0 && opt.Kind == mc.TMCC && !opt.DisableEmbed && len(r.ptbs) > 0 {
+	// Per-PTB hardware state, flat over the table's PTB slots, plus the
+	// reusable hot-loop scratch (see Runner field docs). Only TMCC with
+	// embedding reads PTB state, so other designs skip the slice.
+	embed := opt.Kind == mc.TMCC && !opt.DisableEmbed
+	if embed {
+		r.ptbs = make([]ptbState, r.as.Table.PTBSlots())
+	}
+	if rcfg.ScrubPages > 0 && embed && len(r.ptbs) > 0 {
 		// Arm the RAS layer's embedded-CTE patrol: a bounded round-robin
 		// sweep over the PTB slots each policy window, refreshing stale
 		// embedded CTEs before a demand access mis-speculates on them. The
@@ -250,7 +252,7 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	// Drive background eviction to steady state before any simulated time
 	// elapses (the paper's long atomic warmup does the same).
 	mcc.Settle()
-	if opt.Kind == mc.TMCC && !opt.DisableEmbed {
+	if embed {
 		r.warmEmbeddings()
 	}
 	r.observe(ob)

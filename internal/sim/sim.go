@@ -148,7 +148,7 @@ type ctePatrol struct {
 const batchSize = 64
 
 // unmappedPPN is the dense translation tables' "no mapping" sentinel.
-const unmappedPPN = ^uint64(0)
+const unmappedPPN = pagetable.NoPPN
 
 // accessBatch is a struct-of-arrays block of pre-generated, pre-translated
 // trace records. Generation is safe ahead of time because each core owns
@@ -198,8 +198,9 @@ type Runner struct {
 	as    *pagetable.AddressSpace
 	sizes *workload.SizeModel
 	// Virtualization state (nil when not virtualized): the guest address
-	// space, plus dense functional translation tables filled at build time
-	// (gpn-indexed and vpn-indexed, unmappedPPN where unmapped).
+	// space, plus the host space's dense gpn-indexed translation
+	// (unmappedPPN where unmapped). Both spaces may be shared with other
+	// runs and are read-only.
 	guest     *pagetable.AddressSpace
 	gpaToHost []uint64
 	mcc       *mc.MC
@@ -211,6 +212,7 @@ type Runner struct {
 	// vpnToPPN maps trace virtual pages (offset by vlo) to the physical
 	// page the MC sees — host-physical under virtualization. One bounds
 	// check and one load replace the per-access radix walk / map probes.
+	// Natively it is the address space's own (shared, read-only) table.
 	vpnToPPN []uint64
 	vlo      uint64
 

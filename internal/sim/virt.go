@@ -21,43 +21,33 @@ import (
 
 // buildVirt constructs the guest and host address spaces. The host maps
 // every guest-physical page (data + guest table pages); the MC's OS pool is
-// the host pool. Both functional translation tables are dense slices filled
-// eagerly here — the tables are static after build, so per-access probes
-// reduce to a bounds check and a load.
+// the host pool. Both functional translation tables are dense slices: the
+// host's gpn -> hpn table is the host space's own, and the composed
+// vpn -> hpn table is filled eagerly here from the two dense tables, so
+// per-access probes reduce to a bounds check and a load.
 func buildVirt(r *Runner, osPages uint64, seed int64) {
 	spec := r.spec
 	// Guest table: vpn -> gpn over a guest-physical pool sized to the
 	// footprint plus guest page tables.
 	guestPool := spec.FootprintPages + spec.FootprintPages/64 + 2048 //tmcclint:allow magic-literal (table-page slack heuristic)
 	gCfg := pagetable.DefaultOSConfig(seed + 5)
-	guest := pagetable.BuildAddressSpace(spec.FootprintPages, guestPool, gCfg)
+	guest := newAddressSpace(spec.FootprintPages, guestPool, gCfg)
 	// Host table: gpn -> hpn. Every guest-physical page is host-mapped;
 	// the host pool is the MC's OS space.
 	hCfg := pagetable.DefaultOSConfig(seed + 6)
-	host := pagetable.BuildAddressSpace(guestPool, osPages, hCfg)
+	host := newAddressSpace(guestPool, osPages, hCfg)
 
 	r.guest = guest
 	r.as = host // the "physical" space the MC sees is host-physical
-
-	hostLo, hostHi := host.VPNRange()
-	r.gpaToHost = make([]uint64, guestPool)
-	for gpn := uint64(0); gpn < guestPool; gpn++ {
-		r.gpaToHost[gpn] = unmappedPPN
-		if vpn := hostLo + gpn; vpn < hostHi {
-			if h, ok := host.Table.Lookup(vpn); ok {
-				r.gpaToHost[gpn] = h
-			}
-		}
-	}
-	guestLo, guestHi := guest.VPNRange()
-	r.vlo = guestLo
-	r.vpnToPPN = make([]uint64, guestHi-guestLo)
-	for i := range r.vpnToPPN {
+	// The host maps gpn at vpn VBase+gpn, so its dense table is already
+	// gpn-indexed.
+	r.gpaToHost = host.VPNToPPN
+	r.vlo = guest.VBase
+	r.vpnToPPN = make([]uint64, len(guest.VPNToPPN))
+	for i, gpn := range guest.VPNToPPN {
 		r.vpnToPPN[i] = unmappedPPN
-		if gpn, ok := guest.Table.Lookup(guestLo + uint64(i)); ok {
-			if h, ok := r.hostPPN(gpn); ok {
-				r.vpnToPPN[i] = h
-			}
+		if h, ok := r.hostPPN(gpn); ok {
+			r.vpnToPPN[i] = h
 		}
 	}
 }
