@@ -39,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz FuzzEntryRoundTrip -fuzztime 10s ./internal/cte/
 	$(GO) test -run=^$$ -fuzz FuzzParseAllow -fuzztime 10s ./internal/lint/
 	$(GO) test -run=^$$ -fuzz FuzzParsePlan -fuzztime 10s ./internal/fault/
+	$(GO) test -run=^$$ -fuzz FuzzBufferOps -fuzztime 10s ./internal/ctecache/
 
 fmt:
 	gofmt -w .
@@ -52,8 +53,9 @@ bench:
 
 # core-bench-smoke exercises the batched simulation core's contracts
 # without timing assertions (CI machines are noisy): the per-design
-# access-path and cold runner-construction microbenchmarks compile and
-# complete, the measured loop is
+# access-path and cold runner-construction microbenchmarks and the CTE
+# Buffer and L3-geometry cache microbenchmarks compile and complete, the
+# measured loop is
 # allocation-free, a mid-run capacity error stops within one batch, and
 # the quick suite renders byte-identically at -j 1 and -j 4 — the same
 # guarantee engine-smoke makes, rechecked here so a core change cannot
@@ -61,6 +63,8 @@ bench:
 # numbers for this machine.
 core-bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAccessPath|BenchmarkNewRunner' -benchtime 1x ./internal/sim/
+	$(GO) test -run '^$$' -bench 'BenchmarkBuffer(Insert|Lookup)' -benchtime 1x ./internal/ctecache/
+	$(GO) test -run '^$$' -bench 'BenchmarkCache(Access|Insert)' -benchtime 1x ./internal/cache/
 	$(GO) test -run 'TestMeasuredLoopAllocationFree|TestCapacityErrorStopsWithinOneBatch' ./internal/sim/
 	$(GO) build -o /tmp/tmccsim ./cmd/tmccsim
 	/tmp/tmccsim -all -quick -format csv -j 1 > /tmp/tmcc_core_j1.csv

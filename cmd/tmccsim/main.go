@@ -154,10 +154,7 @@ func main() {
 		go watchLoop(*watchfile, ob, *watchEvery, watchStop, watchDone)
 	}
 	if *stats {
-		eng.SetProgress(func(r engine.Run) {
-			fmt.Fprintf(os.Stderr, "run %4d  %-16s %-14v %8.2fs\n",
-				r.Seq, r.Opt.Benchmark, r.Opt.Kind, float64(r.Nanos)/1e9)
-		})
+		eng.SetProgress(func(r engine.Run) { fmt.Fprintln(os.Stderr, progressLine(r)) })
 	}
 	start := time.Now()
 
@@ -283,6 +280,17 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// progressLine renders one -stats progress line. A failed run (capacity
+// exhaustion, a recovered panic) carries its error, so it cannot be read
+// as a success.
+func progressLine(r engine.Run) string {
+	line := fmt.Sprintf("run %4d  %-16s %-14v %8.2fs", r.Seq, r.Opt.Benchmark, r.Opt.Kind, float64(r.Nanos)/1e9)
+	if r.Err != nil {
+		line += "  error: " + r.Err.Error()
+	}
+	return line
 }
 
 // startProfiles starts a CPU profile into cpuPath and returns the stop

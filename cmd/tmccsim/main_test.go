@@ -11,8 +11,10 @@ import (
 
 	"tmcc/internal/exp"
 	"tmcc/internal/exp/engine"
+	"tmcc/internal/mc"
 	"tmcc/internal/obs"
 	"tmcc/internal/obs/attr"
+	"tmcc/internal/sim"
 )
 
 // TestRunSmoke drives the cheapest experiment (fig6, the page-table scan)
@@ -272,5 +274,30 @@ func TestProfileBadPath(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "missing", "cpu.out")
 	if _, err := startProfiles(bad, ""); err == nil {
 		t.Fatal("unwritable -cpuprofile path did not error")
+	}
+}
+
+// TestStatsProgressShowsRunError runs a -run point that cannot fit its
+// budget (tmcc below canneal's fully-compressed footprint) and checks that
+// its -stats progress line carries the error instead of reading like a
+// success.
+func TestStatsProgressShowsRunError(t *testing.T) {
+	eng := engine.New(1)
+	var lines []string
+	eng.SetProgress(func(r engine.Run) { lines = append(lines, progressLine(r)) })
+	var out strings.Builder
+	err := runSingle(&out, eng, "canneal", "tmcc", 20000, exp.Config{Seed: 42, Quick: true})
+	if err == nil {
+		t.Fatal("tmcc at a 20000-page budget did not fail")
+	}
+	if len(lines) != 1 {
+		t.Fatalf("progress lines = %q, want one", lines)
+	}
+	if !strings.Contains(lines[0], "canneal") || !strings.Contains(lines[0], "error: "+err.Error()) {
+		t.Errorf("progress line %q does not carry the run error %q", lines[0], err)
+	}
+	ok := progressLine(engine.Run{Seq: 2, Opt: sim.Options{Benchmark: "mcf", Kind: mc.TMCC}})
+	if strings.Contains(ok, "error") {
+		t.Errorf("successful run's progress line mentions an error: %q", ok)
 	}
 }

@@ -32,21 +32,21 @@ func TestVictimReported(t *testing.T) {
 func TestFlagsLifecycle(t *testing.T) {
 	c := New(16*64, 4)
 	c.Insert(3, FlagCompressedPTB)
-	f, ok := c.Flags(3)
-	if !ok || f != FlagCompressedPTB {
-		t.Fatalf("flags = %x ok=%v", f, ok)
+	i := c.Lookup(3)
+	if i < 0 || c.FlagsAt(i) != FlagCompressedPTB {
+		t.Fatalf("lookup = %d, flags %x", i, c.FlagsAt(i))
 	}
 	c.OrFlags(3, FlagDirty)
-	f, _ = c.Flags(3)
-	if f != FlagCompressedPTB|FlagDirty {
+	if f := c.FlagsAt(i); f != FlagCompressedPTB|FlagDirty {
 		t.Fatalf("flags after Or = %x", f)
 	}
-	c.SetFlags(3, 0)
-	if f, _ = c.Flags(3); f != 0 {
+	c.SetFlagsAt(i, 0)
+	if f := c.FlagsAt(i); f != 0 {
 		t.Fatalf("flags after Set = %x", f)
 	}
-	if f, ok := c.Invalidate(3); !ok || f != 0 {
-		t.Fatalf("invalidate = %x %v", f, ok)
+	c.SetFlagsAt(i, FlagDirty)
+	if f := c.InvalidateAt(i); f != FlagDirty {
+		t.Fatalf("invalidate = %x", f)
 	}
 	if c.Probe(3) {
 		t.Error("present after invalidate")

@@ -7,6 +7,11 @@
 // without rounding surprises.
 package config
 
+import (
+	"errors"
+	"fmt"
+)
+
 // Time is a simulation timestamp or duration in picoseconds.
 type Time int64
 
@@ -64,6 +69,36 @@ const (
 	BlocksPage  = PageSize / BlockSize // 64 blocks per page
 	PTEsPerPage = PageSize / PTESize   // 512
 )
+
+// ErrGeometry marks a structure geometry the simulator cannot index. Set
+// counts (caches, TLBs, the page walk cache), DRAM banks, rows and
+// interleave granularities must be positive powers of two: the access path
+// selects sets and decodes DRAM addresses with masks and shifts, not
+// divisions. A geometry that breaks this is rejected at construction, never
+// rounded.
+var ErrGeometry = errors.New("geometry must be a positive power of two")
+
+// GeometryError names the quantity that broke the power-of-two
+// precondition; it wraps ErrGeometry.
+type GeometryError struct {
+	What  string // e.g. "L3 sets", "DRAM banks per rank"
+	Value int
+}
+
+func (e *GeometryError) Error() string {
+	return fmt.Sprintf("config: %s = %d: %v", e.What, e.Value, ErrGeometry)
+}
+
+func (e *GeometryError) Unwrap() error { return ErrGeometry }
+
+// PowerOfTwo returns a *GeometryError naming what unless v is a positive
+// power of two.
+func PowerOfTwo(what string, v int) error {
+	if v <= 0 || v&(v-1) != 0 {
+		return &GeometryError{What: what, Value: v}
+	}
+	return nil
+}
 
 // CPU holds core-model parameters (Table III, first row).
 type CPU struct {

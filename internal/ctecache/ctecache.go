@@ -9,6 +9,9 @@
 package ctecache
 
 import (
+	"fmt"
+	"math/bits"
+
 	"tmcc/internal/cache"
 	"tmcc/internal/config"
 	"tmcc/internal/obs"
@@ -16,9 +19,10 @@ import (
 
 // Cache is the MC-side CTE cache.
 type Cache struct {
-	c           *cache.Cache
-	pagesPerBlk uint64
-	cfg         config.CTECacheCfg
+	c *cache.Cache
+	// blkShift is log2 of the pages one cached CTE block covers.
+	blkShift uint
+	cfg      config.CTECacheCfg
 	// Observability counters (nil when not observed): lifetime Lookup
 	// outcomes, bumped live so a registry snapshot mid-run is meaningful.
 	obsHit, obsMiss *obs.Counter
@@ -27,16 +31,34 @@ type Cache struct {
 	heat *obs.HeatmapView
 }
 
-// New builds a CTE cache from its configuration.
+// pagesPerBlock is how many 4KB pages one cached CTE block covers (a
+// reach below one page counts as one page).
+func pagesPerBlock(cfg config.CTECacheCfg) int {
+	if ppb := cfg.ReachPerBlock / config.PageSize; ppb > 0 {
+		return ppb
+	}
+	return 1
+}
+
+// Check reports whether New can build a CTE cache for cfg: a power-of-two
+// set count and pages per block. The error is a *config.GeometryError.
+func Check(cfg config.CTECacheCfg) error {
+	if err := cache.Check("CTE cache", cfg.SizeKB*config.KiB, cfg.Assoc); err != nil {
+		return err
+	}
+	return config.PowerOfTwo("CTE cache pages per block", pagesPerBlock(cfg))
+}
+
+// New builds a CTE cache from its configuration. It panics on a geometry
+// Check rejects (mc.New checks first and returns the error instead).
 func New(cfg config.CTECacheCfg) *Cache {
-	ppb := uint64(cfg.ReachPerBlock / (4 * config.KiB))
-	if ppb == 0 {
-		ppb = 1
+	if err := Check(cfg); err != nil {
+		panic(fmt.Sprintf("ctecache: %v", err))
 	}
 	return &Cache{
-		c:           cache.New(cfg.SizeKB*config.KiB, cfg.Assoc),
-		pagesPerBlk: ppb,
-		cfg:         cfg,
+		c:        cache.New(cfg.SizeKB*config.KiB, cfg.Assoc),
+		blkShift: uint(bits.TrailingZeros(uint(pagesPerBlock(cfg)))),
+		cfg:      cfg,
 	}
 }
 
@@ -53,7 +75,7 @@ func (c *Cache) ObserveHeat(hm *obs.HeatmapView) {
 }
 
 // blockFor maps a physical page number to its CTE block id.
-func (c *Cache) blockFor(ppn uint64) uint64 { return ppn / c.pagesPerBlk }
+func (c *Cache) blockFor(ppn uint64) uint64 { return ppn >> c.blkShift }
 
 // Lookup probes the cache for the CTE covering ppn.
 func (c *Cache) Lookup(ppn uint64) bool {
@@ -104,17 +126,30 @@ type BufEntry struct {
 	PTBAddr uint64
 }
 
-// Buffer is the 64-entry CTE Buffer in L2 (~1KB). FIFO replacement: the
-// hardware is a small circular structure, so the model matches it with a
-// linear CAM-style scan over the (at most 64) valid entries — no map, no
+// Buffer is the CTE Buffer in L2 (the paper uses 64 entries, ~1KB), with
+// FIFO replacement over a ring of entries like the hardware's small
+// circular structure. Beside the ring sits an open-addressed PPN -> slot
+// index: a power-of-two table of at least four times the entries (at half
+// that size, probe runs and backward-shift deletes cost twice as much per
+// Insert), linear probing, backward-shift delete, a fixed multiply-shift
+// hash. Insert, Lookup and Update thus probe a cell or two instead of
+// scanning every entry. A PPN is held at most once: re-inserting it
+// overwrites its entry in place without advancing the FIFO. No map and no
 // allocation on the simulator's access path.
 type Buffer struct {
 	entries []BufEntry
-	valid   []bool
+	filled  int // ring slots written so far (they fill in order, then stay valid)
 	next    int
+	// The index: per cell, the PPN and its ring slot+1 (0 = empty cell).
+	keys  []uint64
+	slots []int32
+	shift uint // 64 - log2(cells)
 	// Observability counters (nil when not observed).
 	obsHit, obsMiss *obs.Counter
 }
+
+// hashMul is the multiply-shift hash constant (2^64 / golden ratio, odd).
+const hashMul = 0x9e3779b97f4a7c15
 
 // Observe registers hit/miss counters for Lookup outcomes.
 func (b *Buffer) Observe(hit, miss *obs.Counter) {
@@ -123,33 +158,73 @@ func (b *Buffer) Observe(hit, miss *obs.Counter) {
 
 // NewBuffer returns a buffer with n entries (the paper uses 64).
 func NewBuffer(n int) *Buffer {
+	cells := 2
+	for cells < 4*n {
+		cells <<= 1
+	}
 	return &Buffer{
 		entries: make([]BufEntry, n),
-		valid:   make([]bool, n),
+		keys:    make([]uint64, cells),
+		slots:   make([]int32, cells),
+		shift:   uint(64 - bits.TrailingZeros(uint(cells))),
 	}
 }
 
-// find returns the index of the valid entry for ppn, or -1.
-func (b *Buffer) find(ppn uint64) int {
-	for i := range b.entries {
-		if b.valid[i] && b.entries[i].PPN == ppn {
-			return i
+// home is ppn's first probe cell.
+func (b *Buffer) home(ppn uint64) int { return int(ppn * hashMul >> b.shift) }
+
+// cell returns the index cell holding ppn, or the empty cell that ends its
+// probe run (the table is never full, so the run ends).
+func (b *Buffer) cell(ppn uint64) int {
+	mask := len(b.slots) - 1
+	i := b.home(ppn)
+	for b.slots[i] != 0 && b.keys[i] != ppn {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// find returns the ring slot of the entry for ppn, or -1.
+func (b *Buffer) find(ppn uint64) int { return int(b.slots[b.cell(ppn)]) - 1 }
+
+// unindex removes ppn, which must be indexed, closing the gap by shifting
+// later cells of the probe run back so every remaining key stays reachable
+// from its home cell.
+func (b *Buffer) unindex(ppn uint64) {
+	mask := len(b.slots) - 1
+	hole := b.cell(ppn)
+	for j := (hole + 1) & mask; b.slots[j] != 0; j = (j + 1) & mask {
+		// The key at j may fill the hole unless its home lies cyclically
+		// in (hole, j].
+		if h := b.home(b.keys[j]); (j-h)&mask >= (j-hole)&mask {
+			b.keys[hole], b.slots[hole] = b.keys[j], b.slots[j]
+			hole = j
 		}
 	}
-	return -1
+	b.slots[hole] = 0
 }
 
 // Insert records an entry, replacing any existing entry for the same PPN,
 // else the FIFO victim.
 func (b *Buffer) Insert(e BufEntry) {
-	if i := b.find(e.PPN); i >= 0 {
-		b.entries[i] = e
+	i := b.cell(e.PPN)
+	if s := b.slots[i]; s != 0 {
+		b.entries[s-1] = e
 		return
 	}
-	i := b.next
-	b.next = (b.next + 1) % len(b.entries)
-	b.entries[i] = e
-	b.valid[i] = true
+	slot := b.next
+	b.next++
+	if b.next == len(b.entries) {
+		b.next = 0
+	}
+	if slot < b.filled {
+		b.unindex(b.entries[slot].PPN)
+		i = b.cell(e.PPN) // the shift may have moved the free cell
+	} else {
+		b.filled++
+	}
+	b.entries[slot] = e
+	b.keys[i], b.slots[i] = e.PPN, int32(slot+1)
 }
 
 // Lookup fetches the entry for ppn.
@@ -178,12 +253,4 @@ func (b *Buffer) Update(ppn uint64, correct uint32) (ptbAddr uint64, present, st
 }
 
 // Len reports valid entries.
-func (b *Buffer) Len() int {
-	n := 0
-	for _, v := range b.valid {
-		if v {
-			n++
-		}
-	}
-	return n
-}
+func (b *Buffer) Len() int { return b.filled }

@@ -12,6 +12,9 @@
 package dram
 
 import (
+	"fmt"
+	"math/bits"
+
 	"tmcc/internal/config"
 )
 
@@ -25,6 +28,7 @@ type rank struct {
 	banks     []bank
 	lastWrite bool
 	writeUnt  config.Time // rank is in write mode until this time
+	refPhase  config.Time // offset of this rank's refresh schedule
 }
 
 type channel struct {
@@ -128,12 +132,78 @@ type Controller struct {
 
 	// derived
 	turnaround config.Time
+	dec        decoder
 }
 
-// New builds the controller from Table III parameters.
+// decoder holds the shifts and masks that split a physical address into
+// MC, channel, rank, bank and row fields. Every count and granularity is a
+// power of two (Check), so decoding needs no division.
+type decoder struct {
+	mcShift, chShift, rowShift, bankShift, banksShift uint
+	mcMask, chMask, bankMask, banksMask               uint64
+}
+
+// log2 of a power of two.
+func log2(v int) uint { return uint(bits.TrailingZeros64(uint64(v))) }
+
+// Check reports whether New can build a controller for cfg: rows, banks
+// per rank and ranks per channel, and (when there is more than one) the
+// MC and channel counts and their interleave granularities must be
+// positive powers of two. The error is a *config.GeometryError.
+func Check(cfg config.DRAM) error {
+	checks := []struct {
+		what string
+		v    int
+	}{
+		{"DRAM row bytes", cfg.RowBytes},
+		{"DRAM banks per rank", cfg.BanksPerRank},
+		{"DRAM ranks per channel", cfg.RanksPerChan},
+		{"DRAM channels per MC", cfg.Channels},
+		{"DRAM MCs", cfg.MCs},
+	}
+	for _, c := range checks {
+		if err := config.PowerOfTwo(c.what, c.v); err != nil {
+			return err
+		}
+	}
+	if cfg.Channels > 1 {
+		if err := config.PowerOfTwo("DRAM channel interleave bytes", cfg.ChannelInterleaveBytes); err != nil {
+			return err
+		}
+	}
+	if cfg.MCs > 1 {
+		if err := config.PowerOfTwo("DRAM MC interleave bytes", cfg.MCInterleaveBytes); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// New builds the controller from Table III parameters. It panics on a
+// geometry Check rejects; simulator construction checks first and returns
+// the error instead.
 func New(cfg config.DRAM) *Controller {
+	if err := Check(cfg); err != nil {
+		panic(fmt.Sprintf("dram: %v", err))
+	}
 	n := cfg.MCs * cfg.Channels
 	c := &Controller{cfg: cfg, turnaround: 5 * config.Nanosecond}
+	banksTotal := cfg.RanksPerChan * cfg.BanksPerRank
+	c.dec = decoder{
+		rowShift:   log2(cfg.RowBytes),
+		bankShift:  log2(cfg.BanksPerRank),
+		bankMask:   uint64(cfg.BanksPerRank - 1),
+		banksShift: log2(banksTotal),
+		banksMask:  uint64(banksTotal - 1),
+		mcMask:     uint64(cfg.MCs - 1),
+		chMask:     uint64(cfg.Channels - 1),
+	}
+	if cfg.MCs > 1 {
+		c.dec.mcShift = log2(cfg.MCInterleaveBytes)
+	}
+	if cfg.Channels > 1 {
+		c.dec.chShift = log2(cfg.ChannelInterleaveBytes)
+	}
 	c.chans = make([]channel, n)
 	for i := range c.chans {
 		c.chans[i].sched = newBusSched(cfg.TBL)
@@ -144,33 +214,28 @@ func New(cfg config.DRAM) *Controller {
 				banks[b].openRow = -1
 			}
 			c.chans[i].ranks[r].banks = banks
+			c.chans[i].ranks[r].refPhase = cfg.TREFI/config.Time(cfg.RanksPerChan)*config.Time(r) + cfg.TRFC
 		}
 	}
 	return c
 }
 
 // decode splits a physical byte address into channel/rank/bank/row indexes.
+// With one MC (or one channel) the mask is zero and that field is 0.
 func (c *Controller) decode(addr uint64) (ch, rk, bk int, row int64) {
-	mc := 0
-	if c.cfg.MCs > 1 {
-		mc = int(addr/uint64(c.cfg.MCInterleaveBytes)) % c.cfg.MCs
-	}
-	chIdx := 0
-	if c.cfg.Channels > 1 {
-		chIdx = int(addr/uint64(c.cfg.ChannelInterleaveBytes)) % c.cfg.Channels
-	}
+	d := &c.dec
+	mc := int(addr >> d.mcShift & d.mcMask)
+	chIdx := int(addr >> d.chShift & d.chMask)
 	ch = mc*c.cfg.Channels + chIdx
-	rowBytes := uint64(c.cfg.RowBytes)
-	rowAddr := addr / rowBytes
+	rowAddr := addr >> d.rowShift
 	// XOR-based bank hash (Skylake-like): fold upper row bits into the
 	// bank index to spread conflicting strides. The hash uses only bits at
 	// and above the row granularity so adjacent blocks within one row map
 	// to the same bank (row-buffer locality).
-	banksTotal := uint64(c.cfg.RanksPerChan * c.cfg.BanksPerRank)
-	b := (rowAddr ^ rowAddr>>7 ^ rowAddr>>13) % banksTotal
-	rk = int(b) / c.cfg.BanksPerRank
-	bk = int(b) % c.cfg.BanksPerRank
-	row = int64(rowAddr / banksTotal)
+	b := (rowAddr ^ rowAddr>>7 ^ rowAddr>>13) & d.banksMask
+	rk = int(b >> d.bankShift)
+	bk = int(b & d.bankMask)
+	row = int64(rowAddr >> d.banksShift)
 	return
 }
 
@@ -217,7 +282,7 @@ func (c *Controller) access(now config.Time, addr uint64, isWrite bool) config.T
 	// Refresh: every tREFI the rank is unavailable for tRFC; ranks are
 	// staggered so the channel never refreshes everything at once.
 	if c.cfg.TREFI > 0 && c.cfg.TRFC > 0 {
-		phase := c.cfg.TREFI/config.Time(c.cfg.RanksPerChan)*config.Time(rk) + c.cfg.TRFC
+		phase := rnk.refPhase
 		refStart := (start-phase)/c.cfg.TREFI*c.cfg.TREFI + phase
 		if start >= refStart && start < refStart+c.cfg.TRFC {
 			start = refStart + c.cfg.TRFC

@@ -34,3 +34,19 @@ func TestQuickSweepsAndExtensions(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryQuickExperimentBuilds runs every registered experiment in quick
+// mode: each system geometry an experiment builds (TLB and CTE Buffer
+// sweeps, the CTE cache overrides of the problem study, Figure 22's
+// multi-MC interleavings) must pass construction's power-of-two check.
+func TestEveryQuickExperimentBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy")
+	}
+	for _, id := range IDs() {
+		r, _ := Get(id)
+		if _, err := r(Config{Seed: 42, Quick: true}); err != nil {
+			t.Errorf("%s: %v", id, err)
+		}
+	}
+}

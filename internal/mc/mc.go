@@ -411,6 +411,9 @@ func (m *MC) updateGauges() {
 // every mapped page (hot first) before simulation. It fails when the
 // budget cannot even hold the design's metadata (CTE table).
 func New(cfg Config) (*MC, error) {
+	if err := checkGeometry(cfg); err != nil {
+		return nil, fmt.Errorf("mc: %w", err)
+	}
 	m := &MC{
 		cfg:  cfg,
 		dram: dram.New(cfg.Sys.DRAM),
@@ -422,24 +425,17 @@ func New(cfg Config) (*MC, error) {
 		recandCut: lagfib.Below(0.01),
 	}
 	m.rng.Seed(cfg.Seed + 1000)
+	if cte, ok := cteCacheCfg(cfg); ok {
+		m.cte = ctecache.New(cte)
+	}
 	switch cfg.Kind {
 	case Uncompressed:
 		m.chunkPool = cfg.BudgetPages
 	case Compresso:
-		cteCfg := config.CompressoCTE()
-		if cfg.CTEOverride != nil {
-			cteCfg = *cfg.CTEOverride
-		}
-		m.cte = ctecache.New(cteCfg)
 		if err := m.reserveCTETable(64); err != nil {
 			return nil, err
 		}
 	case OSInspired, TMCC:
-		cteCfg := cfg.Sys.Comp.CTE
-		if cfg.CTEOverride != nil {
-			cteCfg = *cfg.CTEOverride
-		}
-		m.cte = ctecache.New(cteCfg)
 		if err := m.reserveCTETable(8); err != nil {
 			return nil, err
 		}
@@ -470,7 +466,7 @@ func New(cfg Config) (*MC, error) {
 		m.crit = m.lowMark * cfg.Sys.Comp.FreeListCritical / maxInt(1, cfg.Sys.Comp.FreeListLowChunks)
 	}
 	if cfg.VictimShadow && m.cte != nil {
-		m.shadow = cache.New(cfg.Sys.Cache.L3SizeMB*config.MiB, 16)
+		m.shadow = cache.New(cfg.Sys.Cache.L3SizeMB*config.MiB, victimShadowWays)
 		m.shadowPPB = uint64(1)
 		if cfg.CTEOverride != nil {
 			m.shadowPPB = uint64(cfg.CTEOverride.ReachPerBlock / (4 * config.KiB))
@@ -487,6 +483,48 @@ func New(cfg Config) (*MC, error) {
 	}
 	m.observe(cfg.Obs)
 	return m, nil
+}
+
+// victimShadowWays is the associativity of Figure 2's LLC-sized CTE
+// victim shadow.
+const victimShadowWays = 16
+
+// cteCacheCfg is the CTE cache geometry a design builds: Compresso's
+// block-level Table III cache, the system's page-level one for OS-inspired
+// and TMCC, either replaced by CTEOverride; ok=false for Uncompressed.
+func cteCacheCfg(cfg Config) (cte config.CTECacheCfg, ok bool) {
+	switch cfg.Kind {
+	case Compresso:
+		cte = config.CompressoCTE()
+	case OSInspired, TMCC:
+		cte = cfg.Sys.Comp.CTE
+	default:
+		return cte, false
+	}
+	if cfg.CTEOverride != nil {
+		cte = *cfg.CTEOverride
+	}
+	return cte, true
+}
+
+// checkGeometry validates the geometry of the DRAM and cache structures
+// New builds (a *config.GeometryError wrapping config.ErrGeometry), so a
+// bad configuration fails construction instead of panicking inside it.
+func checkGeometry(cfg Config) error {
+	if err := dram.Check(cfg.Sys.DRAM); err != nil {
+		return err
+	}
+	cte, ok := cteCacheCfg(cfg)
+	if !ok {
+		return nil
+	}
+	if err := ctecache.Check(cte); err != nil {
+		return err
+	}
+	if cfg.VictimShadow {
+		return cache.Check("CTE victim shadow", cfg.Sys.Cache.L3SizeMB*config.MiB, victimShadowWays)
+	}
+	return nil
 }
 
 // reserveCTETable carves the linear CTE table (bytesPerPage per OS page)

@@ -76,6 +76,9 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	if sys.CPU.Cores == 0 {
 		sys = config.Default()
 	}
+	if err := checkGeometry(sys); err != nil {
+		return nil, fmt.Errorf("sim: %s/%s: %w", opt.Benchmark, opt.Kind, err)
+	}
 	// The heatmap view derives from the original observer before any
 	// timeline shadowing: heat facts carry addresses the registry cannot
 	// express, so the view is injected directly into the components that
@@ -172,7 +175,7 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 		inj:   inj,
 		tlv:   tlv,
 		hmv:   hmv,
-		l3:    cache.New(sys.Cache.L3SizeMB*config.MiB, sys.Cache.Assoc*2),
+		l3:    cache.New(l3Bytes(sys), l3Ways(sys)),
 		cycle: sys.CPU.Cycle(),
 		noc:   sys.DRAM.NoCLatency,
 	}
@@ -226,10 +229,10 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 			trace:    workload.NewTrace(spec, vbase, opt.Seed+int64(i)*101),
 			tlb:      tlb.New(sys.CPU.TLBEntries, sys.CPU.TLBAssoc),
 			wc:       tlb.NewWalkCache(sys.CPU.WalkCacheKB * config.KiB),
-			l1:       cache.New(sys.Cache.L1SizeKB*config.KiB/2, sys.Cache.Assoc),
+			l1:       cache.New(l1Bytes(sys), sys.Cache.Assoc),
 			l2:       cache.New(sys.Cache.L2SizeKB*config.KiB, sys.Cache.Assoc),
 			buf:      ctecache.NewBuffer(sys.Comp.CTEBufEntries),
-			gwc:      tlb.New(512, 8),
+			gwc:      tlb.New(guestWalkEntries, guestWalkWays),
 			mshr:     make([]config.Time, sys.CPU.MaxMisses),
 			stride:   cache.NewStride(sys.Cache.StrideDegreeL2),
 			throttle: cache.NewThrottle(256),
@@ -267,6 +270,41 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 		ob.Span(obs.CatPhase, "placement", 0, 0, 0)
 	}
 	return r, nil
+}
+
+// Geometry of the core-side structures NewRunnerFull builds beyond what
+// config.System names directly.
+const guestWalkEntries, guestWalkWays = 512, 8 // nested (gpa) walk cache
+
+// l1Bytes is the modeled data side of the split L1.
+func l1Bytes(sys config.System) int { return sys.Cache.L1SizeKB * config.KiB / 2 }
+
+// l3Bytes and l3Ways give the shared exclusive L3 (twice the private
+// levels' associativity).
+func l3Bytes(sys config.System) int { return sys.Cache.L3SizeMB * config.MiB }
+func l3Ways(sys config.System) int  { return 2 * sys.Cache.Assoc }
+
+// checkGeometry validates, before anything is built, the power-of-two
+// precondition of every cache, TLB and walk cache the runner builds (the
+// access path indexes their sets with masks). The MC's DRAM and CTE cache
+// are checked by mc.New. Errors wrap config.ErrGeometry.
+func checkGeometry(sys config.System) error {
+	for _, c := range []struct {
+		name        string
+		bytes, ways int
+	}{
+		{"L1", l1Bytes(sys), sys.Cache.Assoc},
+		{"L2", sys.Cache.L2SizeKB * config.KiB, sys.Cache.Assoc},
+		{"L3", l3Bytes(sys), l3Ways(sys)},
+	} {
+		if err := cache.Check(c.name, c.bytes, c.ways); err != nil {
+			return err
+		}
+	}
+	if err := tlb.Check("TLB", sys.CPU.TLBEntries, sys.CPU.TLBAssoc); err != nil {
+		return err
+	}
+	return tlb.CheckWalkCache(sys.CPU.WalkCacheKB * config.KiB)
 }
 
 // warmEmbeddings mirrors the paper's warmup phase, which explicitly warms

@@ -284,7 +284,9 @@ func (r *Runner) step(c *core) {
 	// Loads block the window; stores drain via the store buffer but still
 	// occupy the miss register.
 	c.mshr[c.next] = done
-	c.next = (c.next + 1) % len(c.mshr)
+	if c.next++; c.next == len(c.mshr) {
+		c.next = 0
+	}
 	// The core advances past the issue point; it only stalls when the
 	// window fills (handled above through mshr).
 	c.time = issue + r.cycle
@@ -343,31 +345,35 @@ func (r *Runner) memAccess(c *core, t config.Time, block uint64, write, isPTB, w
 	l2Lat := l1Lat + r.sys.Cache.L2Cycles.Dur(r.cycle)
 	l3Lat := l2Lat + r.sys.Cache.L3Cycles.Dur(r.cycle)
 
+	// Each level is scanned once: Lookup returns the hit line's index, and
+	// the flag updates and the exclusive-L3 promotion work on that index.
 	if !isPTB {
-		if c.l1.Access(block) {
+		if i := c.l1.Lookup(block); i >= 0 {
 			if write {
-				c.l1.OrFlags(block, cache.FlagDirty)
+				c.l1.SetFlagsAt(i, c.l1.FlagsAt(i)|cache.FlagDirty)
 				c.l2.OrFlags(block, cache.FlagDirty)
 			}
 			r.attrCacheHit(isPTB, l1Lat)
 			return t + l1Lat
 		}
 	}
-	if c.l2.Access(block) {
-		if f, _ := c.l2.Flags(block); f&flagPrefetched != 0 {
+	if i := c.l2.Lookup(block); i >= 0 {
+		f := c.l2.FlagsAt(i)
+		if f&flagPrefetched != 0 {
 			c.throttle.Useful()
-			c.l2.SetFlags(block, f&^flagPrefetched)
+			f &^= flagPrefetched
 		}
 		if write {
-			c.l2.OrFlags(block, cache.FlagDirty)
+			f |= cache.FlagDirty
 		}
+		c.l2.SetFlagsAt(i, f)
 		r.fillL1(c, block, write, isPTB)
 		r.attrCacheHit(isPTB, l2Lat)
 		return t + l2Lat
 	}
-	if r.l3.Access(block) {
+	if i := r.l3.Lookup(block); i >= 0 {
 		// Exclusive L3: promote to L2.
-		f, _ := r.l3.Invalidate(block)
+		f := r.l3.InvalidateAt(i)
 		r.insertL2(c, block, f, write, isPTB, t)
 		r.fillL1(c, block, write, isPTB)
 		r.attrCacheHit(isPTB, l3Lat)
@@ -484,7 +490,9 @@ func (r *Runner) finishAttr(a *attr.Access, isPTB bool) {
 	r.ag.Record(a)
 }
 
-// fillL1 caches the block in L1 for demand accesses.
+// fillL1 caches the block in L1 for demand accesses. The L2 copy is
+// already dirty on a write: every caller either set the flag on its L2 hit
+// or inserted the line with it (insertL2).
 func (r *Runner) fillL1(c *core, block uint64, write, isPTB bool) {
 	if isPTB {
 		return // walker data stays out of L1
@@ -494,9 +502,6 @@ func (r *Runner) fillL1(c *core, block uint64, write, isPTB bool) {
 		f = cache.FlagDirty
 	}
 	c.l1.Insert(block, f)
-	if write {
-		c.l2.OrFlags(block, cache.FlagDirty)
-	}
 }
 
 // insertL2 fills a block into L2, spilling the victim into the exclusive

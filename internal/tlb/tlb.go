@@ -6,10 +6,17 @@
 // fetches.
 package tlb
 
+import (
+	"fmt"
+
+	"tmcc/internal/config"
+)
+
 // TLB is a set-associative, LRU translation cache keyed by virtual page
-// number.
+// number. The set count is a power of two (see Check), so a vpn's set is
+// its low bits.
 type TLB struct {
-	sets  int
+	mask  uint64 // sets-1
 	ways  int
 	tags  []uint64 // sets*ways entries; +1 so 0 means invalid
 	stamp []uint64
@@ -19,13 +26,26 @@ type TLB struct {
 	Misses uint64
 }
 
-// New builds a TLB with the given total entries and associativity.
+// Check reports whether New can build a TLB of entries with the given
+// ways: entries must be a multiple of ways, and the set count must be a
+// positive power of two. The error is a *config.GeometryError naming the
+// structure as name.
+func Check(name string, entries, ways int) error {
+	if ways <= 0 || entries%ways != 0 {
+		return &config.GeometryError{What: fmt.Sprintf("%s entries over %d ways", name, ways), Value: entries}
+	}
+	return config.PowerOfTwo(name+" sets", entries/ways)
+}
+
+// New builds a TLB with the given total entries and associativity. It
+// panics on a geometry Check rejects; simulator construction checks first
+// and returns the error instead.
 func New(entries, ways int) *TLB {
-	if entries%ways != 0 {
-		panic("tlb: entries must be a multiple of ways")
+	if err := Check("tlb", entries, ways); err != nil {
+		panic(fmt.Sprintf("tlb: %v", err))
 	}
 	return &TLB{
-		sets:  entries / ways,
+		mask:  uint64(entries/ways - 1),
 		ways:  ways,
 		tags:  make([]uint64, entries),
 		stamp: make([]uint64, entries),
@@ -34,11 +54,10 @@ func New(entries, ways int) *TLB {
 
 // Lookup probes for vpn, updating recency and hit/miss counters.
 func (t *TLB) Lookup(vpn uint64) bool {
-	set := int(vpn) % t.sets
-	base := set * t.ways
+	base := int(vpn&t.mask) * t.ways
 	t.clock++
-	for w := 0; w < t.ways; w++ {
-		if t.tags[base+w] == vpn+1 {
+	for w, tag := range t.tags[base : base+t.ways] {
+		if tag == vpn+1 {
 			t.stamp[base+w] = t.clock
 			t.Hits++
 			return true
@@ -50,21 +69,22 @@ func (t *TLB) Lookup(vpn uint64) bool {
 
 // Insert fills vpn, evicting the set's LRU entry.
 func (t *TLB) Insert(vpn uint64) {
-	set := int(vpn) % t.sets
-	base := set * t.ways
-	victim := base
-	for w := 0; w < t.ways; w++ {
-		if t.tags[base+w] == 0 {
-			victim = base + w
+	base := int(vpn&t.mask) * t.ways
+	tags := t.tags[base : base+t.ways]
+	stamps := t.stamp[base : base+t.ways]
+	v := 0
+	for w, tag := range tags {
+		if tag == 0 {
+			v = w
 			break
 		}
-		if t.stamp[base+w] < t.stamp[victim] {
-			victim = base + w
+		if stamps[w] < stamps[v] {
+			v = w
 		}
 	}
 	t.clock++
-	t.tags[victim] = vpn + 1
-	t.stamp[victim] = t.clock
+	tags[v] = vpn + 1
+	stamps[v] = t.clock
 }
 
 // Flush empties the TLB (context switch).
@@ -83,9 +103,9 @@ type WalkCache struct {
 	l3 *TLB // caches vpn>>18
 }
 
-// NewWalkCache sizes the structure from a byte budget (Table III: 1KB per
-// core); each cached entry is modeled at 16 bytes, split between levels.
-func NewWalkCache(bytes int) *WalkCache {
+// walkCacheHalf is the per-level entry count NewWalkCache builds from a
+// byte budget.
+func walkCacheHalf(bytes int) int {
 	entries := bytes / 16
 	if entries < 8 {
 		entries = 8
@@ -94,6 +114,19 @@ func NewWalkCache(bytes int) *WalkCache {
 	if half%4 != 0 {
 		half = (half/4 + 1) * 4
 	}
+	return half
+}
+
+// CheckWalkCache reports whether NewWalkCache can build a walk cache from
+// bytes (each level's set count must be a power of two).
+func CheckWalkCache(bytes int) error {
+	return Check("walk cache", walkCacheHalf(bytes), 4)
+}
+
+// NewWalkCache sizes the structure from a byte budget (Table III: 1KB per
+// core); each cached entry is modeled at 16 bytes, split between levels.
+func NewWalkCache(bytes int) *WalkCache {
+	half := walkCacheHalf(bytes)
 	return &WalkCache{l2: New(half, 4), l3: New(half, 4)}
 }
 
